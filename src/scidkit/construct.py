@@ -29,6 +29,7 @@ from .linalg import (
     BadDims,
     Echelon,
     Subspace,
+    complement_within,
     coordinate_subspace,
     embed_subspace,
     intersect,
@@ -239,8 +240,6 @@ def derive_max_components(family: SubspaceFamily) -> ConstructionTrace:
             s = intersect(family.members[i - 1], family.members[j - 1])
             inters[(i, j)] = s
             comp[f"V_{i}_{j}"] = s
-    from .linalg import complement_within  # local to avoid a wide import list
-
     for i in range(1, n + 1):
         rows = []
         for j in range(1, n + 1):

@@ -511,22 +511,3 @@ def field_from_order(q: int) -> FieldSpec:
         raise NotPrime(f"{q} is not a prime power")
     return field_new(p, e)
 
-
-def f_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def f_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def f_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def f_pow(a: FieldElement, n: int) -> FieldElement:
-    return a**n
-
-
-def element_as_base_vector(a: FieldElement, base: FieldSpec) -> tuple[int, ...]:
-    return a.as_base_vector(base)

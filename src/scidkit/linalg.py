@@ -36,48 +36,13 @@ class BadDims(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _rref_rows(
-    field: FieldSpec, rows: Iterable[Sequence[int]], width: int
-) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form of the row list; zero rows dropped."""
-    add, sub, mul, inv = field.add, field.sub, field.mul, field.inv
-    mat = [list(r) for r in rows]
-    for r in mat:
-        if len(r) != width:
-            raise AmbientMismatch(f"row of length {len(r)} in width-{width} matrix")
-    nrows = len(mat)
-    pivot_row = 0
-    for col in range(width):
-        found = None
-        for r in range(pivot_row, nrows):
-            if mat[r][col]:
-                found = r
-                break
-        if found is None:
-            continue
-        mat[pivot_row], mat[found] = mat[found], mat[pivot_row]
-        row = mat[pivot_row]
-        pv = row[col]
-        if pv != 1:
-            pinv = inv(pv)
-            row = [mul(pinv, x) for x in row]
-            mat[pivot_row] = row
-        for r in range(nrows):
-            if r != pivot_row and mat[r][col]:
-                f = mat[r][col]
-                other = mat[r]
-                mat[r] = [sub(other[i], mul(f, row[i])) for i in range(width)]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return tuple(tuple(r) for r in mat[:pivot_row])
-
-
 class Echelon:
     """Incremental row-space accumulator kept in echelon form.
 
-    Cheap rank bookkeeping for search loops: insert vectors one at a time,
-    rows stay sorted by pivot column with normalized leading ones.
+    The one row-elimination kernel of the package.  Cheap rank bookkeeping
+    for search loops: insert vectors one at a time, rows stay sorted by pivot
+    column with normalized leading ones and zeros below each pivot;
+    :meth:`reduced` clears above the pivots to give the canonical form.
     """
 
     __slots__ = ("field", "width", "rows", "pivots")
@@ -87,6 +52,14 @@ class Echelon:
         self.width = width
         self.rows: list[tuple[int, ...]] = []
         self.pivots: list[int] = []
+
+    @classmethod
+    def of(cls, s: "Subspace") -> "Echelon":
+        """An accumulator holding s's canonical basis, which is already echelon."""
+        ech = cls(s.field, s.ambient_dim)
+        ech.rows = list(s.basis)
+        ech.pivots = [next(i for i, x in enumerate(r) if x) for r in s.basis]
+        return ech
 
     def copy(self) -> "Echelon":
         other = Echelon.__new__(Echelon)
@@ -131,6 +104,25 @@ class Echelon:
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
+    def reduced(self) -> tuple[tuple[int, ...], ...]:
+        """The reduced row echelon basis of the stored rows.
+
+        Bottom-up back-substitution: when a row's pivot is cleared from the
+        rows above it, that row is already zero at every other pivot (left of
+        its own pivot by echelon form, right of it by the earlier steps), so
+        no cleared entry is refilled.
+        """
+        sub, mul = self.field.sub, self.field.mul
+        rows = list(self.rows)
+        for j in range(len(rows) - 1, 0, -1):
+            p, row = self.pivots[j], rows[j]
+            for i in range(j):
+                c = rows[i][p]
+                if c:
+                    other = rows[i]
+                    rows[i] = tuple([sub(other[x], mul(c, row[x])) for x in range(self.width)])
+        return tuple(rows)
+
 
 # ---------------------------------------------------------------------------
 # subspaces
@@ -166,11 +158,7 @@ class Subspace:
         return len(self.basis)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        ech = Echelon(self.field, self.ambient_dim)
-        for r in self.basis:
-            ech.rows.append(r)
-            ech.pivots.append(next(i for i, x in enumerate(r) if x))
-        return ech.contains(vec)
+        return Echelon.of(self).contains(vec)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace, zero vector included."""
@@ -199,7 +187,14 @@ class Subspace:
 
 def rref(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence[int]]) -> Subspace:
     """Canonicalize arbitrary spanning rows into a Subspace."""
-    return Subspace(field, ambient_dim, _rref_rows(field, rows, ambient_dim))
+    rows = list(rows)
+    for r in rows:
+        if len(r) != ambient_dim:
+            raise AmbientMismatch(f"row of length {len(r)} in width-{ambient_dim} matrix")
+    ech = Echelon(field, ambient_dim)
+    for r in rows:
+        ech.insert(r)
+    return Subspace(field, ambient_dim, ech.reduced())
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
@@ -236,29 +231,37 @@ def span_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """The subspace a ∩ b via the doubled-width elimination trick.
+    """The subspace a ∩ b via the doubled-width (Zassenhaus) elimination.
 
-    Rows [v|v] for v in a and [w|0] for w in b are reduced together; rows
-    whose left half vanished carry the intersection in their right half, and
-    those right halves are already in canonical form.
+    Rows [v|v] for v in a and [w|0] for w in b span W = {(v + w, v)}, and
+    (v + w, v) has a zero left half exactly when v = -w lies in a ∩ b, so
+    W meets {0} x F^d in {0} x (a ∩ b).  In an echelon basis of W the rows
+    with pivot >= d have a zero left half and are independent; any
+    combination that uses a row with pivot < d is nonzero at the least such
+    pivot, because the rows below it vanish there.  Those rows therefore
+    span {0} x (a ∩ b).  Their right halves are in echelon form with leading
+    ones, and reducing them gives the canonical basis.
     """
     _check_peers(a, b)
     d = a.ambient_dim
     zeros = (0,) * d
-    stacked = [r + r for r in a.basis] + [r + zeros for r in b.basis]
-    reduced = _rref_rows(a.field, stacked, 2 * d)
-    inter = tuple(r[d:] for r in reduced if not any(r[:d]))
-    return Subspace(a.field, d, inter)
+    ech = Echelon(a.field, 2 * d)
+    for r in a.basis:
+        ech.insert(r + r)
+    for r in b.basis:
+        ech.insert(r + zeros)
+    inter = Echelon(a.field, d)
+    for p, r in zip(ech.pivots, ech.rows):
+        if p >= d:
+            inter.insert(r[d:])
+    return Subspace(a.field, d, inter.reduced())
 
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:
     _check_peers(a, b)
     if a.dim > b.dim:
         return False
-    ech = Echelon(b.field, b.ambient_dim)
-    for r in b.basis:
-        ech.rows.append(r)
-        ech.pivots.append(next(i for i, x in enumerate(r) if x))
+    ech = Echelon.of(b)
     return all(ech.contains(r) for r in a.basis)
 
 
@@ -272,9 +275,7 @@ def complement_within(a: Subspace, b: Subspace) -> Subspace:
     _check_peers(a, b)
     if not is_subspace_of(a, b):
         raise NotNested("first argument is not contained in the second")
-    ech = Echelon(a.field, a.ambient_dim)
-    for r in a.basis:
-        ech.insert(r)
+    ech = Echelon.of(a)
     kept = []
     for r in b.basis:
         if ech.insert(r):
@@ -285,28 +286,6 @@ def complement_within(a: Subspace, b: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------
-
-
-def _invert_matrix(field: FieldSpec, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of a square matrix; internal, expects invertibility."""
-    n = len(rows)
-    sub, mul, inv = field.sub, field.mul, field.inv
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pr = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pr] = aug[pr], aug[col]
-        row = aug[col]
-        pv = row[col]
-        if pv != 1:
-            pinv = inv(pv)
-            row = [mul(pinv, x) for x in row]
-            aug[col] = row
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                other = aug[r]
-                aug[r] = [sub(other[i], mul(f, row[i])) for i in range(2 * n)]
-    return [r[n:] for r in aug]
 
 
 def _mat_mul(field: FieldSpec, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -341,13 +320,7 @@ class QuotientMap:
         return self.total.dim - self.center.dim
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        field = self.total.field
-        add, mul = field.add, field.mul
-        out = [0] * self.target_dim
-        for x, row in zip(vec, self.matrix):
-            if x:
-                out = [add(out[j], mul(x, row[j])) for j in range(self.target_dim)]
-        return tuple(out)
+        return tuple(_mat_mul(self.total.field, [vec], self.matrix)[0])
 
     def map_subspace(self, x: Subspace) -> Subspace:
         if not is_subspace_of(x, self.total):
@@ -376,16 +349,14 @@ def quotient_map(s: Subspace, c: Subspace) -> QuotientMap:
     d = s.ambient_dim
     comp = complement_within(c, s)
     ext = complement_within(s, full_subspace(field, d))
-    basis_rows = list(c.basis) + list(comp.basis) + list(ext.basis)
-    r = comp.dim
-    targets = []
-    for i in range(len(basis_rows)):
-        row = [0] * r
-        if c.dim <= i < c.dim + r:
-            row[i - c.dim] = 1
-        targets.append(row)
-    b_inv = _invert_matrix(field, basis_rows)
-    matrix = tuple(tuple(r_) for r_ in _mat_mul(field, b_inv, targets))
+    # Row i of B^-1 expresses e_i in the basis B = c + comp + ext; the map
+    # keeps the comp coordinates, i.e. columns c.dim .. c.dim + comp.dim.
+    # B^-1 is the right half of the reduced [B | I].
+    ech = Echelon(field, 2 * d)
+    for i, row in enumerate(c.basis + comp.basis + ext.basis):
+        ech.insert(row + tuple(int(j == i) for j in range(d)))
+    lo = d + c.dim
+    matrix = tuple(r[lo : lo + comp.dim] for r in ech.reduced())
     return QuotientMap(total=s, center=c, matrix=matrix, section=tuple(comp.basis))
 
 
@@ -402,7 +373,7 @@ def _random_subspace_from(rng: random.Random, d: int, k: int, field: FieldSpec) 
         for r in rows:
             ech.insert(r)
         if ech.rank == k:
-            return rref(field, d, rows)
+            return Subspace(field, d, ech.reduced())
 
 
 def random_subspace(d: int, k: int, field: FieldSpec, seed: int) -> Subspace:

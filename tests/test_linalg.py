@@ -33,6 +33,25 @@ def _random_rows(rng, field, count, width):
     return [[rng.randrange(field.order) for _ in range(width)] for _ in range(count)]
 
 
+def _reference_rref(field, rows, width):
+    """Textbook Gauss-Jordan on a copy of rows; zero rows dropped."""
+    mat = [list(r) for r in rows]
+    top = 0
+    for col in range(width):
+        hit = next((r for r in range(top, len(mat)) if mat[r][col]), None)
+        if hit is None:
+            continue
+        mat[top], mat[hit] = mat[hit], mat[top]
+        pinv = field.inv(mat[top][col])
+        mat[top] = [field.mul(pinv, x) for x in mat[top]]
+        for r in range(len(mat)):
+            f = mat[r][col]
+            if r != top and f:
+                mat[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[r], mat[top])]
+        top += 1
+    return tuple(tuple(r) for r in mat[:top])
+
+
 def test_rref_canonical_golden():
     s = rref(F2, 3, [(1, 1, 0), (0, 1, 1)])
     assert s.basis == ((1, 0, 1), (0, 1, 1))
@@ -40,6 +59,29 @@ def test_rref_canonical_golden():
     # dependent rows collapse
     s2 = rref(F2, 3, [(1, 1, 0), (1, 1, 0), (0, 0, 0)])
     assert s2.basis == ((1, 1, 0),)
+
+
+def test_rref_matches_reference_gauss_jordan():
+    rng = random.Random(3)
+    for q in (2, 3, 4, 5, 8, 9):
+        field = field_from_order(q)
+        for _ in range(60):
+            width = rng.randrange(1, 7)
+            rows = _random_rows(rng, field, rng.randrange(0, width + 3), width)
+            if rows and rng.random() < 0.5:
+                # a dependent row: a random combination of two existing rows
+                u, v = rng.choice(rows), rng.choice(rows)
+                c = rng.randrange(field.order)
+                rows.append([field.add(x, field.mul(c, y)) for x, y in zip(u, v)])
+            if rng.random() < 0.3:
+                rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+            rng.shuffle(rows)
+            assert rref(field, width, rows).basis == _reference_rref(field, rows, width)
+
+
+def test_rref_rejects_row_of_wrong_length():
+    with pytest.raises(AmbientMismatch):
+        rref(F2, 3, [(1, 0)])
 
 
 def test_rref_scaling_needs_nonbinary_field():
@@ -114,12 +156,13 @@ def test_grassmann_identity_battery():
 def test_intersect_membership_exact():
     # the intersection contains exactly the common vectors
     rng = random.Random(31)
-    for _ in range(30):
-        a = rref(F2, 4, _random_rows(rng, F2, 2, 4))
-        b = rref(F2, 4, _random_rows(rng, F2, 2, 4))
-        i = intersect(a, b)
-        common = {v for v in a.vectors() if b.contains_vector(v)}
-        assert set(i.vectors()) == common
+    for field in (F2, F3, F4):
+        for _ in range(30):
+            a = rref(field, 4, _random_rows(rng, field, 2, 4))
+            b = rref(field, 4, _random_rows(rng, field, 2, 4))
+            i = intersect(a, b)
+            common = {v for v in a.vectors() if b.contains_vector(v)}
+            assert set(i.vectors()) == common
 
 
 def test_peer_checks():
