@@ -25,6 +25,7 @@ import shlex
 import sys
 from datetime import datetime, timezone
 
+from . import __version__
 from .bounds import NotApplicable, ScidParams, best_bound, check_family
 from .construct import (
     ConstructionTrace,
@@ -48,9 +49,11 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _provenance(seed: int | None = None) -> dict:
+def _provenance(args, seed: int | None = None) -> dict:
     return {
-        "command": shlex.join(sys.argv),
+        "command": shlex.join(["scidkit", *args.argv]),
+        "python_version": ".".join(map(str, sys.version_info[:3])),
+        "scidkit_version": __version__,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
@@ -63,7 +66,7 @@ def _bounds_dict(report) -> dict:
     return out
 
 
-def _certificate(family: SubspaceFamily, trace: ConstructionTrace, report) -> dict:
+def _certificate(family: SubspaceFamily, trace: ConstructionTrace, report, args) -> dict:
     return {
         "version": CERT_VERSION,
         "params": dict(trace.parameters),
@@ -71,7 +74,7 @@ def _certificate(family: SubspaceFamily, trace: ConstructionTrace, report) -> di
         "trace": trace.to_dict(),
         "report": report.to_dict(),
         "bounds": _bounds_dict(report),
-        "provenance": _provenance(),
+        "provenance": _provenance(args),
     }
 
 
@@ -96,7 +99,7 @@ def _cmd_construct(args) -> int:
         )
 
     report = analyze(family)
-    cert = _certificate(family, trace, report)
+    cert = _certificate(family, trace, report, args)
     print(canonical_dumps(cert))
 
     if args.check:
@@ -302,9 +305,11 @@ def _cmd_search(args) -> int:
         "best_bound": bound,
         "matches_bound": result.best_sum == bound,
         "violation": violation,
-        "provenance": _provenance(seed),
+        "provenance": _provenance(args, seed),
     }
     print(canonical_dumps(out))
+    if args.stats and result.stats is not None:
+        print(canonical_dumps(result.stats.to_dict()), file=sys.stderr)
     return 1 if violation else 0
 
 
@@ -352,13 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="randomized search instead of brute force")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=100)
+    p.add_argument(
+        "--stats", action="store_true",
+        help="print the brute-force search's statistics as one JSON line on stderr",
+    )
     p.set_defaults(func=_cmd_search)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except PreconditionViolated as exc:

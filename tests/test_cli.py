@@ -229,6 +229,33 @@ def test_search_cli_exhaustive(capsys):
     assert data["matches_bound"] is True and data["violation"] is False
 
 
+def test_search_cli_stats_go_to_stderr_only(capsys):
+    args = ("search", "--n", "4", "--k", "2", "--t", "1", "--q", "2", "--d", "4")
+    code, plain_out, plain_err = run_cli(capsys, *args)
+    assert code == 0 and plain_err == ""
+    code, out, err = run_cli(capsys, *args, "--stats")
+    assert code == 0
+    drop = lambda text: {k: v for k, v in json.loads(text).items() if k != "provenance"}
+    assert drop(out) == drop(plain_out)
+    line, = err.splitlines()
+    stats = json.loads(line)
+    assert line == canonical_dumps(stats)
+    assert set(stats) == {"nodes_per_depth", "prunes", "candidates", "intersect_calls", "elapsed_s"}
+    assert sum(stats["nodes_per_depth"].values()) == json.loads(out)["result"]["explored"]
+    assert set(stats["nodes_per_depth"]) == {"2", "3", "4"}
+    assert set(stats["prunes"]) == {"bound", "optimism"}
+
+
+def test_provenance_names_the_arguments_main_was_given(capsys):
+    args = ["construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "2"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    provenance = json.loads(out)["provenance"]
+    assert provenance["command"] == "scidkit " + " ".join(args)
+    assert provenance["scidkit_version"] == scidkit.__version__
+    assert provenance["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+
+
 def test_search_cli_random_reproducible(capsys):
     args = ("search", "--n", "3", "--k", "2", "--t", "1", "--q", "2", "--d", "4", "--random", "--seed", "9", "--iters", "30")
     _, out1, _ = run_cli(capsys, *args)

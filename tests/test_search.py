@@ -1,15 +1,20 @@
 """Enumeration order, counting, and the brute-force oracle."""
 
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from scidkit.bounds import ScidParams, best_bound
 from scidkit.gf import field_from_order
-from scidkit.linalg import BadDims
-from scidkit.scid import analyze, verify_scid
+from scidkit.linalg import BadDims, intersect
+from scidkit.scid import SubspaceFamily, analyze, verify_scid
 from scidkit.search import (
     CapExceeded,
     ENUM_CAP_ENV,
     EnumerationCursor,
+    SearchResult,
     enumerate_subspaces,
     gaussian_binomial,
     iter_subspaces,
@@ -20,6 +25,7 @@ from scidkit.search import (
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def test_gaussian_binomial_values():
@@ -138,16 +144,76 @@ def test_oracle_small_regression_anchors():
     assert max_sum_bruteforce(5, 2, 1, F2, 4).best_sum == 6
 
 
-def test_root_range_split_agrees_with_full_run():
-    full = max_sum_bruteforce(3, 2, 1, F2, 4)
-    parts = [
-        max_sum_bruteforce(3, 2, 1, F2, 4, root_range=(a, b))
-        for a, b in [(0, 12), (12, 24), (24, 35)]
-    ]
-    assert all(not p.exhaustive for p in parts)
-    assert full.best_sum == max(p.best_sum for p in parts if p.best_sum is not None)
-    winners = [p.witness for p in parts if p.best_sum == full.best_sum]
-    assert full.witness in winners
+def _reference_max(n, k, t, field, d):
+    """Every n-subset in canonical order; the first of equal sums is kept."""
+    cands = list(iter_subspaces(d, k, field))
+    compatible = {
+        (a, b)
+        for a, b in combinations(range(len(cands)), 2)
+        if intersect(cands[a], cands[b]).dim == k - t
+    }
+    best, witness = None, None
+    for combo in combinations(range(len(cands)), n):
+        if all(pair in compatible for pair in combinations(combo, 2)):
+            family = SubspaceFamily(field, d, tuple(cands[i] for i in combo))
+            total = analyze(family).sum
+            if best is None or total > best:
+                best, witness = total, family
+    return best, witness
+
+
+@pytest.mark.parametrize(
+    "n,k,t,q,d",
+    [
+        (2, 2, 1, 2, 3),
+        (3, 2, 1, 2, 4),
+        (4, 2, 1, 2, 4),
+        (5, 2, 1, 2, 3),
+        (5, 1, 1, 2, 3),
+        (3, 2, 2, 2, 4),  # t = k: pairwise trivial intersections
+        (3, 2, 2, 2, 3),  # no family: 2-spaces of F^3 always meet
+        (2, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
+        (3, 2, 1, 3, 3),
+        (4, 2, 1, 3, 3),
+        (4, 1, 1, 3, 2),
+        (3, 2, 1, 4, 3),
+        (3, 1, 1, 4, 2),
+    ],
+)
+def test_oracle_matches_reference_search(n, k, t, q, d):
+    field = field_from_order(q)
+    res = max_sum_bruteforce(n, k, t, field, d)
+    assert (res.best_sum, res.witness) == _reference_max(n, k, t, field, d)
+    assert res.exhaustive
+
+
+@pytest.mark.parametrize(
+    "n,k,t,d",
+    [(2, 2, 1, 3), (4, 2, 1, 4), (2, 3, 2, 4)],  # n = 2, n >= 4, no family
+)
+def test_jobs_split_agrees_with_serial_run(n, k, t, d):
+    solo = max_sum_bruteforce(n, k, t, F2, d)
+    for jobs in (2, 3):
+        multi = max_sum_bruteforce(n, k, t, F2, d, jobs=jobs)
+        assert (multi.best_sum, multi.witness, multi.exhaustive) == (
+            solo.best_sum, solo.witness, solo.exhaustive
+        )
+
+
+def test_search_stats_are_diagnostic_only():
+    res = max_sum_bruteforce(4, 2, 1, F2, 5)
+    stats = res.stats
+    assert res.explored == sum(stats.nodes_per_depth.values())
+    assert sorted(stats.nodes_per_depth) == [2, 3, 4]
+    assert stats.nodes_per_depth[2] == 1
+    assert stats.nodes_per_depth[3] == stats.candidates > 0
+    assert set(stats.prunes) == {"bound", "optimism"}
+    assert stats.intersect_calls > 0 and stats.elapsed_s >= 0
+    assert "stats" not in res.to_dict()
+    assert res == SearchResult(res.best_sum, res.witness, res.explored, res.exhaustive)
+    empty = max_sum_bruteforce(2, 3, 2, F2, 4)
+    assert empty.explored == 0
+    assert empty.stats.candidates == 0 and empty.stats.nodes_per_depth == {2: 0}
 
 
 def test_jobs_merge_is_deterministic():
@@ -156,6 +222,17 @@ def test_jobs_merge_is_deterministic():
     assert solo.best_sum == multi.best_sum
     assert solo.witness == multi.witness
     assert multi.exhaustive
+
+
+def test_recorded_refined_regime_maximum_reproduces():
+    recorded = json.loads((RESULTS / "max_sum_n4_k3_t1_q2_d6.json").read_text())
+    assert recorded["params"] == {"n": 4, "k": 3, "t": 1, "q": 2, "d": 6}
+    res = max_sum_bruteforce(4, 3, 1, F2, 6)
+    assert res.exhaustive
+    assert res.best_sum == recorded["exact_max"] == 8
+    assert res.witness.to_dict() == recorded["witness"]
+    assert recorded["best_bound"] == best_bound(ScidParams(4, 3, 1)).best == 9
+    assert recorded["attains_bound"] is False
 
 
 def test_oracle_rejects_bad_parameters():
