@@ -2,7 +2,7 @@
 
 Five subcommands:
 
-* ``construct``: build a family (max, spectrum1, spectrum2, sunflower) and
+* ``construct``: build a family of a kind in ``construct.CONSTRUCTIONS`` and
   print a certificate: parameters, members, named building blocks, the
   measured intersection report, and the bound comparison, as canonical JSON
   (sorted keys, no whitespace).  ``--check`` re-verifies the result and
@@ -27,16 +27,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .bounds import NotApplicable, ScidParams, best_bound, check_family
-from .construct import (
-    ConstructionTrace,
-    PreconditionViolated,
-    check_max_conditions,
-    construct_max,
-    construct_spectrum1,
-    construct_spectrum2,
-    construct_sunflower,
-    expected_sum,
-)
+from .construct import CONSTRUCTIONS, ConstructionTrace, PreconditionViolated, expected_sum
 from .gf import FieldError, field_from_order
 from .scid import SubspaceFamily, analyze, verify_scid
 from .search import CapExceeded, max_sum_bruteforce, random_scid_search
@@ -78,25 +69,22 @@ def _certificate(family: SubspaceFamily, trace: ConstructionTrace, report, args)
     }
 
 
+def _construction_params(args) -> dict:
+    """The --eta/--eps values the kind takes; --eps defaults to 0, --eta is required."""
+    takes = CONSTRUCTIONS[args.kind].params
+    for name in ("eta", "eps"):
+        if getattr(args, name) is not None and name not in takes:
+            raise PreconditionViolated(f"{args.kind} takes no --{name}")
+    if "eta" in takes and args.eta is None:
+        raise PreconditionViolated(f"{args.kind} requires --eta")
+    return {name: getattr(args, name) or 0 for name in takes}
+
+
 def _cmd_construct(args) -> int:
     field = field_from_order(args.q)
-    kind = args.kind
-    if kind == "max":
-        family, trace = construct_max(args.n, args.k, args.t, field)
-    elif kind == "spectrum1":
-        family, trace = construct_spectrum1(args.n, args.k, args.t, field, args.eps)
-    elif kind == "spectrum2":
-        if args.eta is None:
-            raise PreconditionViolated("spectrum2 requires --eta")
-        family, trace = construct_spectrum2(
-            args.n, args.k, args.t, field, args.eta, args.eps
-        )
-    else:
-        if args.eta is None:
-            raise PreconditionViolated("sunflower requires --eta")
-        family, trace = construct_sunflower(
-            args.n, args.k, args.t, field, args.eta, args.eps
-        )
+    entry = CONSTRUCTIONS[args.kind]
+    params = _construction_params(args)
+    family, trace = entry.build(args.n, args.k, args.t, field, **params)
 
     report = analyze(family)
     cert = _certificate(family, trace, report, args)
@@ -104,11 +92,11 @@ def _cmd_construct(args) -> int:
 
     if args.check:
         ok = verify_scid(family, args.k, args.t)
-        want = expected_sum(kind, args.n, args.k, args.t, args.eps, args.eta)
+        want = expected_sum(args.kind, args.n, args.k, args.t, **params)
         ok = ok and report.sum == want
         ok = ok and not cert["bounds"]["violation"]
-        if kind == "max":
-            ok = ok and all(check_max_conditions(family, trace).values())
+        if entry.check is not None:
+            ok = ok and all(entry.check(family, trace).values())
         if not ok:
             print(f"check failed: sum={report.sum}, expected={want}", file=sys.stderr)
             return 1
@@ -201,58 +189,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _spectrum_entries(n: int, k: int, t: int, q: int):
-    """All realizable sums, in construction preference order."""
-    entries = []
-    if (n - 1) * (k - t) <= k:
-        entries.append(("max", None, 0, "(n-1)(k-t) <= k"))
-        if n >= 3:
-            for eps in range(1, k - t + 1):
-                entries.append(
-                    ("spectrum1", None, eps, "(n-1)(k-t) <= k and n >= 3")
-                )
-            for eta in range(3, n):
-                for eps in range(0, k - t + 1):
-                    entries.append(
-                        (
-                            "spectrum2",
-                            eta,
-                            eps,
-                            "(n-1)(k-t) <= k and 2 <= eta <= n-1",
-                        )
-                    )
-    for eta in range(1, n - 1):
-        count = (q ** (t * (n - eta)) - 1) // (q**t - 1)
-        if n <= count:
-            for eps in range(t):
-                entries.append(
-                    ("sunflower", eta, eps, "n <= (q^(t(n-eta))-1)/(q^t-1)")
-                )
-    return entries
-
-
 def _cmd_spectrum(args) -> int:
     n, k, t, q = args.n, args.k, args.t, args.q
     field = field_from_order(q)
     breport = best_bound(ScidParams(n, k, t))
-    builders = {
-        "max": lambda eta, eps: construct_max(n, k, t, field),
-        "spectrum1": lambda eta, eps: construct_spectrum1(n, k, t, field, eps),
-        "spectrum2": lambda eta, eps: construct_spectrum2(n, k, t, field, eta, eps),
-        "sunflower": lambda eta, eps: construct_sunflower(n, k, t, field, eta, eps),
-    }
     achieved: dict[int, dict] = {}
-    for kind, eta, eps, condition in _spectrum_entries(n, k, t, q):
-        family, _ = builders[kind](eta, eps)
-        total = analyze(family).sum
-        assert total == expected_sum(kind, n, k, t, eps, eta), (kind, eta, eps)
-        if total not in achieved:
-            entry = {"sum": total, "kind": kind, "condition": condition}
-            if eta is not None:
-                entry["eta"] = eta
-            if kind != "max":
-                entry["eps"] = eps
-            achieved[total] = entry
+    for kind, entry in CONSTRUCTIONS.items():
+        for params in entry.settings(n, k, t, q):
+            family, _ = entry.build(n, k, t, field, **params)
+            total = analyze(family).sum
+            want = expected_sum(kind, n, k, t, **params)
+            if total != want:
+                print(
+                    f"spectrum self-check failed: {kind} eta={params.get('eta')} "
+                    f"eps={params.get('eps')} sum={total} closed form={want}",
+                    file=sys.stderr,
+                )
+                return 1
+            if total not in achieved:
+                achieved[total] = {"sum": total, "kind": kind, "condition": entry.condition, **params}
 
     sums = sorted(achieved, reverse=True)
     gaps = []
@@ -329,10 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=int, required=True, help="field order (prime power)")
 
     p = sub.add_parser("construct", help="build a family and print its certificate")
-    p.add_argument("kind", choices=["max", "spectrum1", "spectrum2", "sunflower"])
+    p.add_argument("kind", choices=list(CONSTRUCTIONS))
     common(p)
-    p.add_argument("--eta", type=int, default=None, help="gluing parameter (spectrum2, sunflower)")
-    p.add_argument("--eps", type=int, default=0, help="trim parameter")
+    glued = ", ".join(kind for kind, c in CONSTRUCTIONS.items() if "eta" in c.params)
+    p.add_argument("--eta", type=int, default=None, help=f"gluing parameter ({glued})")
+    p.add_argument("--eps", type=int, default=None, help="trim parameter")
     p.add_argument("--check", action="store_true", help="re-verify the output before exiting")
     p.set_defaults(func=_cmd_construct)
 

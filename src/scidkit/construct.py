@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .gf import FieldSpec, extension_field
 from .linalg import (
@@ -55,9 +56,9 @@ class NotASpread(ValueError):
 class ConstructionTrace:
     """Named building blocks of one construction, for audit and re-checks.
 
-    `kind` is one of "max", "spectrum1", "spectrum2", "sunflower";
-    `components` maps block labels (V_i_j, U_i, E, D, D_i, P_i, X_i, Y, C,
-    sigma_i) to the subspaces actually used.
+    `kind` is a key of :data:`CONSTRUCTIONS`; `components` maps block labels
+    (V_i_j, U_i, E, D, D_i, P_i, X_i, Y, C, sigma_i) to the subspaces actually
+    used.
     """
 
     kind: str
@@ -72,19 +73,80 @@ class ConstructionTrace:
         }
 
 
+@dataclass(frozen=True)
+class Construction:
+    """One construction kind.
+
+    `params` names the parameters beyond (n, k, t) that `build` and
+    `closed_form` take as keywords; `settings(n, k, t, q)` lists the keyword
+    sets the spectrum tries, each of which `build` accepts.  The lambdas
+    below look the builders up by module-level name at call time, so a tool
+    that replaces those attributes (``bench/tracing.py``) sees every call.
+    """
+
+    params: tuple[str, ...]
+    build: Callable[..., tuple[SubspaceFamily, ConstructionTrace]]
+    closed_form: Callable[..., int]
+    settings: Callable[[int, int, int, int], list[dict]]
+    condition: str
+    check: Callable[[SubspaceFamily, ConstructionTrace], dict[str, bool]] | None = None
+
+
+# In spectrum preference order.  spectrum1 at eps = 0 is max and spectrum2 at
+# eta = 2 is spectrum1, so their settings leave those out.
+CONSTRUCTIONS: dict[str, Construction] = {
+    "max": Construction(
+        params=(),
+        build=lambda n, k, t, field: construct_max(n, k, t, field),
+        closed_form=lambda n, k, t: n * k,
+        settings=lambda n, k, t, q: [{}] if _glued_fits(n, k, t) else [],
+        condition="(n-1)(k-t) <= k",
+        check=lambda family, trace: check_max_conditions(family, trace),
+    ),
+    "spectrum1": Construction(
+        params=("eps",),
+        build=lambda n, k, t, field, eps: construct_spectrum1(n, k, t, field, eps),
+        closed_form=lambda n, k, t, eps: n * k - eps,
+        settings=lambda n, k, t, q: (
+            [{"eps": eps} for eps in range(1, k - t + 1)] if n >= 3 and _glued_fits(n, k, t) else []
+        ),
+        condition="(n-1)(k-t) <= k and n >= 3",
+    ),
+    "spectrum2": Construction(
+        params=("eta", "eps"),
+        build=lambda n, k, t, field, eta, eps: construct_spectrum2(n, k, t, field, eta, eps),
+        closed_form=lambda n, k, t, eta, eps: n * k - (eta - 2) * (k - t) - eps,
+        settings=lambda n, k, t, q: (
+            [{"eta": eta, "eps": eps} for eta in range(3, n) for eps in range(k - t + 1)]
+            if _glued_fits(n, k, t) else []
+        ),
+        condition="(n-1)(k-t) <= k and 2 <= eta <= n-1",
+    ),
+    "sunflower": Construction(
+        params=("eta", "eps"),
+        build=lambda n, k, t, field, eta, eps: construct_sunflower(n, k, t, field, eta, eps),
+        closed_form=lambda n, k, t, eta, eps: 2 * k + (n - 2) * t - eta * t + eps,
+        settings=lambda n, k, t, q: [
+            {"eta": eta, "eps": eps}
+            for eta in range(1, n - 1)
+            if n <= _sunflower_lines(q, t, n - eta)
+            for eps in range(t)
+        ],
+        condition="n <= (q^(t(n-eta))-1)/(q^t-1)",
+    ),
+}
+
+
 def expected_sum(kind: str, n: int, k: int, t: int, eps: int = 0, eta: int | None = None) -> int:
     """Closed-form dim S + dim I each construction is built to achieve."""
-    if kind == "max":
-        return n * k
-    if kind == "spectrum1":
-        return n * k - eps
-    if kind == "spectrum2":
-        assert eta is not None
-        return n * k - (eta - 2) * (k - t) - eps
-    if kind == "sunflower":
-        assert eta is not None
-        return 2 * k + (n - 2) * t - eta * t + eps
-    raise ValueError(f"unknown construction kind {kind!r}")
+    if kind not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    entry = CONSTRUCTIONS[kind]
+    given = {"eta": eta, "eps": eps}
+    missing = [name for name in entry.params if given[name] is None]
+    if missing:
+        raise ValueError(f"{kind} needs {', '.join(missing)}")
+    return entry.closed_form(n, k, t, **{name: given[name] for name in entry.params})
 
 
 def _require(ok: bool, message: str) -> None:
@@ -95,6 +157,24 @@ def _require(ok: bool, message: str) -> None:
 def _check_common(n: int, k: int, t: int) -> None:
     _require(n >= 2, f"n >= 2 fails: n={n}")
     _require(1 <= t <= k, f"1 <= t <= k fails: t={t}, k={k}")
+
+
+def _glued_fits(n: int, k: int, t: int) -> bool:
+    """Each member has room for its n - 1 shared blocks of dimension k - t."""
+    return (n - 1) * (k - t) <= k
+
+
+def _check_glued(n: int, k: int, t: int) -> None:
+    _check_common(n, k, t)
+    _require(
+        _glued_fits(n, k, t),
+        f"(n-1)(k-t) <= k fails: ({n}-1)*({k}-{t}) = {(n - 1) * (k - t)} > {k}",
+    )
+
+
+def _sunflower_lines(q: int, t: int, m: int) -> int:
+    """(q^(tm) - 1)/(q^t - 1), the number of lines of F_(q^t)^m."""
+    return (q ** (t * m) - 1) // (q**t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +228,7 @@ def construct_max(n: int, k: int, t: int, field: FieldSpec):
     blocks V_ij for every j != i; all blocks sit on disjoint standard
     coordinates, so pi_i meets pi_j in exactly V_ij.
     """
-    _check_common(n, k, t)
-    _require(
-        (n - 1) * (k - t) <= k,
-        f"(n-1)(k-t) <= k fails: ({n}-1)*({k}-{t}) = {(n - 1) * (k - t)} > {k}",
-    )
+    _check_glued(n, k, t)
     pair, priv, ambient = _max_layout(n, k, t)
     members = tuple(
         coordinate_subspace(field, ambient, _max_member_coords(i, n, pair, priv))
@@ -270,11 +346,7 @@ def construct_spectrum1(n: int, k: int, t: int, field: FieldSpec, eps: int = 0):
     to dimension k - t - eps (D_1, D_2).  Needs n >= 3 when eps > 0: with two
     members there is no third block to re-route through.
     """
-    _check_common(n, k, t)
-    _require(
-        (n - 1) * (k - t) <= k,
-        f"(n-1)(k-t) <= k fails: ({n}-1)*({k}-{t}) = {(n - 1) * (k - t)} > {k}",
-    )
+    _check_glued(n, k, t)
     _require(0 <= eps <= k - t, f"0 <= eps <= k-t fails: eps={eps}, k-t={k - t}")
     params = {"n": n, "k": k, "t": t, "q": field.order, "eps": eps}
     if eps == 0:
@@ -326,11 +398,7 @@ def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     eps in [0, k - t] additionally shrinks the glued intersections onto an
     eps-dimensional part E of D, exactly as in spectrum1.
     """
-    _check_common(n, k, t)
-    _require(
-        (n - 1) * (k - t) <= k,
-        f"(n-1)(k-t) <= k fails: ({n}-1)*({k}-{t}) = {(n - 1) * (k - t)} > {k}",
-    )
+    _check_glued(n, k, t)
     _require(2 <= eta <= n - 1, f"2 <= eta <= n-1 fails: eta={eta}, n={n}")
     _require(0 <= eps <= k - t, f"0 <= eps <= k-t fails: eps={eps}, k-t={k - t}")
     params = {"n": n, "k": k, "t": t, "q": field.order, "eta": eta, "eps": eps}
@@ -513,7 +581,7 @@ def construct_sunflower(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     _require(0 <= eps < t, f"0 <= eps < t fails: eps={eps}, t={t}")
     mprime = n - eta
     q = field.order
-    line_count = (q ** (t * mprime) - 1) // (q**t - 1)
+    line_count = _sunflower_lines(q, t, mprime)
     _require(
         n <= line_count,
         "cardinality bound n <= (q^(t(n-eta))-1)/(q^t-1) fails: "

@@ -16,7 +16,6 @@ are structural over (characteristic, degree, modulus, base).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -207,9 +206,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.order)
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, code)
-
     def _unpack(self, code: int) -> list[int]:
         """Coefficient vector over the immediate base, little-endian."""
         b = self.base.order if self.base is not None else self.characteristic
@@ -286,9 +282,6 @@ class FieldSpec:
         if self._inv_t is None:
             self._build_tables()
         return self._inv_t[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -398,51 +391,6 @@ class FieldSpec:
         for mod in data["tower"]:
             f = field_new(f.characteristic, len(mod) - 1, modulus=tuple(int(c) for c in mod), base=f)
         return f
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec, identified by its integer code."""
-
-    field: FieldSpec
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.field.order:
-            raise FieldError(f"code {self.code} out of range for {self.field!r}")
-
-    def _peer(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        return FieldElement(self.field, self.field.div(self.code, other.code))
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.code, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def as_base_vector(self, base: FieldSpec) -> tuple[int, ...]:
-        """Coordinate codes of this element over `base`, length [F:base]."""
-        return self.field.decompose(self.code, base)
 
 
 def field_new(

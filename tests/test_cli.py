@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 import scidkit
 from scidkit.cli import canonical_dumps, main
+from scidkit.construct import CONSTRUCTIONS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -173,6 +175,22 @@ def test_precondition_violation_exits_2(capsys):
     assert "(n-1)(k-t) <= k" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("max", "--n", "3", "--k", "2", "--t", "1", "--q", "2", "--eps", "1", "--check"),
+         "max takes no --eps"),
+        (("spectrum1", "--n", "3", "--k", "3", "--t", "2", "--q", "2", "--eps", "1", "--eta", "5"),
+         "spectrum1 takes no --eta"),
+    ],
+)
+def test_construct_rejects_flags_the_kind_does_not_take(capsys, args, message):
+    code, out, err = run_cli(capsys, "construct", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"precondition violated: {message}\n"
+
+
 def test_bad_field_order_exits_2(capsys):
     code, _, err = run_cli(capsys, "construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "6")
     assert code == 2
@@ -218,6 +236,15 @@ def test_spectrum_text_lists_conditions(capsys):
     assert code == 0
     assert "(n-1)(k-t) <= k" in out
     assert "sunflower" in out
+
+
+def test_spectrum_self_check_mismatch_exits_1(capsys, monkeypatch):
+    wrong = replace(CONSTRUCTIONS["spectrum1"], closed_form=lambda n, k, t, eps: n * k - eps + 1)
+    monkeypatch.setitem(CONSTRUCTIONS, "spectrum1", wrong)
+    code, out, err = run_cli(capsys, "spectrum", "--n", "3", "--k", "2", "--t", "1", "--q", "2")
+    assert code == 1
+    assert out == ""
+    assert "spectrum1 eta=None eps=1 sum=5 closed form=6" in err
 
 
 def test_search_cli_exhaustive(capsys):

@@ -1,11 +1,12 @@
 """Constructions: golden families, dimension sweeps, reductions, lifts."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from scidkit.bounds import ScidParams, best_bound
 from scidkit.construct import (
+    CONSTRUCTIONS,
     NoBaseField,
     NotASpread,
     PreconditionViolated,
@@ -337,6 +338,39 @@ def test_sunflower_preconditions():
 def test_expected_sum_rejects_unknown_kind():
     with pytest.raises(ValueError):
         expected_sum("mystery", 3, 2, 1)
+    with pytest.raises(ValueError, match="eta"):
+        expected_sum("spectrum2", 4, 3, 2, eps=1)
+
+
+def _builder_accepts(entry, n, k, t, field, params) -> bool:
+    try:
+        entry.build(n, k, t, field, **params)
+    except PreconditionViolated:
+        return False
+    return True
+
+
+def test_spectrum_settings_are_exactly_what_each_builder_accepts():
+    # spectrum1 at eps = 0 builds max and spectrum2 at eta = 2 builds
+    # spectrum1; the spectrum leaves those settings to the other kind.
+    def delegates(kind, params):
+        return (kind, params.get("eps")) == ("spectrum1", 0) or (
+            kind, params.get("eta")) == ("spectrum2", 2)
+
+    for q, n, k in product((2, 3), range(2, 6), range(1, 5)):
+        field = field_from_order(q)
+        for t in range(1, k + 1):
+            ranges = {"eta": range(-1, n + 1), "eps": range(-1, k + 2)}
+            for kind, entry in CONSTRUCTIONS.items():
+                grid = [dict(zip(entry.params, values))
+                        for values in product(*(ranges[p] for p in entry.params))]
+                accepted = {
+                    tuple(sorted(params.items())) for params in grid
+                    if not delegates(kind, params)
+                    and _builder_accepts(entry, n, k, t, field, params)
+                }
+                tried = {tuple(sorted(params.items())) for params in entry.settings(n, k, t, q)}
+                assert tried == accepted, (kind, n, k, t, q)
 
 
 def test_trace_serialization():
