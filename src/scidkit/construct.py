@@ -137,12 +137,23 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 
-def expected_sum(kind: str, n: int, k: int, t: int, eps: int = 0, eta: int | None = None) -> int:
-    """Closed-form dim S + dim I each construction is built to achieve."""
+def expected_sum(
+    kind: str, n: int, k: int, t: int, eps: int | None = None, eta: int | None = None
+) -> int:
+    """Closed-form dim S + dim I each construction is built to achieve.
+
+    eps defaults to 0 for the kinds that take it; passing eps or eta to a
+    kind that does not take it raises ValueError, as the CLI's exit 2 does.
+    """
     if kind not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction kind {kind!r}")
     entry = CONSTRUCTIONS[kind]
     given = {"eta": eta, "eps": eps}
+    extra = [name for name in given if given[name] is not None and name not in entry.params]
+    if extra:
+        raise ValueError(f"{kind} takes no {', '.join(extra)}")
+    if given["eps"] is None:
+        given["eps"] = 0
     missing = [name for name in entry.params if given[name] is None]
     if missing:
         raise ValueError(f"{kind} needs {', '.join(missing)}")

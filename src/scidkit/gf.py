@@ -48,18 +48,37 @@ class ZeroInverse(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
+# The first 13 primes.  Miller-Rabin with all of them as bases is exact below
+# 3,317,044,064,679,887,385,961,981, the least composite that passes every one
+# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017; preprint 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises FieldError for n >= _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise FieldError(f"{n} is too large to test for primality (limit {_MR_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -152,6 +171,7 @@ class FieldSpec:
         "_exp_t",
         "_log_t",
         "_inv_t",
+        "_mul_rows",
     )
 
     def __init__(
@@ -172,6 +192,7 @@ class FieldSpec:
         self._exp_t = None
         self._log_t = None
         self._inv_t = None
+        self._mul_rows: dict[int, tuple[list[int], list[int]]] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -282,6 +303,34 @@ class FieldSpec:
         if self._inv_t is None:
             self._build_tables()
         return self._inv_t[a]
+
+    def sub_multiple(self, v: Sequence[int], c: int, row: Sequence[int]) -> list[int]:
+        """v - c*row entrywise: one elimination step in one call."""
+        if self.base is None:
+            p = self.characteristic
+            return [(a - c * b) % p for a, b in zip(v, row)]
+        neg_c = self._multiples(c)[1]
+        add = self._add_t
+        return [add[a][neg_c[b]] for a, b in zip(v, row)]
+
+    def scale(self, c: int, row: Sequence[int]) -> list[int]:
+        """c*row entrywise."""
+        if self.base is None:
+            p = self.characteristic
+            return [c * b % p for b in row]
+        times_c = self._multiples(c)[0]
+        return [times_c[b] for b in row]
+
+    def _multiples(self, c: int) -> tuple[list[int], list[int]]:
+        """Tables b -> c*b and b -> -c*b of an extension field, cached per c."""
+        tables = self._mul_rows.get(c)
+        if tables is None:
+            if self._exp_t is None:
+                self._build_tables()
+            times_c = [self.mul(c, b) for b in range(self.order)]
+            tables = (times_c, [self._neg_t[x] for x in times_c])
+            self._mul_rows[c] = tables
+        return tables
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -445,17 +494,18 @@ def field_from_order(q: int) -> FieldSpec:
     """The field of order q = p^e over its prime field, canonical modulus."""
     if q < 2:
         raise FieldError(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    return field_new(p, e)
+    for e in range(q.bit_length(), 0, -1):
+        p = _iroot(q, e)
+        if p**e == q and _is_prime(p):
+            return field_new(p, e)
+    raise NotPrime(f"{q} is not a prime power")
 
+
+def _iroot(n: int, e: int) -> int:
+    """The integer part of the e-th root of n >= 1, by Newton's method."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y

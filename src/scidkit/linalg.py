@@ -12,6 +12,7 @@ All computations are exact; nothing here floats.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -43,6 +44,10 @@ class Echelon:
     for search loops: insert vectors one at a time, rows stay sorted by pivot
     column with normalized leading ones and zeros below each pivot;
     :meth:`reduced` clears above the pivots to give the canonical form.
+    Every row operation is one call to the field's
+    :meth:`~scidkit.gf.FieldSpec.sub_multiple` or
+    :meth:`~scidkit.gf.FieldSpec.scale`, so the per-field row path lives in
+    :mod:`scidkit.gf`.
     """
 
     __slots__ = ("field", "width", "rows", "pivots")
@@ -75,28 +80,25 @@ class Echelon:
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
         """Residual of vec after elimination against the stored rows."""
-        sub, mul = self.field.sub, self.field.mul
+        sub_multiple = self.field.sub_multiple
         v = list(vec)
         for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if c:
-                v = [sub(v[i], mul(c, row[i])) for i in range(self.width)]
+                v = sub_multiple(v, c, row)
         return v
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Insert vec's residual; True when the rank grew."""
         v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        for pivot, pv in enumerate(v):
+            if pv:
+                break
+        else:
             return False
-        pv = v[pivot]
         if pv != 1:
-            pinv = self.field.inv(pv)
-            mul = self.field.mul
-            v = [mul(pinv, x) for x in v]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
+            v = self.field.scale(self.field.inv(pv), v)
+        at = bisect_left(self.pivots, pivot)
         self.pivots.insert(at, pivot)
         self.rows.insert(at, tuple(v))
         return True
@@ -112,15 +114,14 @@ class Echelon:
         its own pivot by echelon form, right of it by the earlier steps), so
         no cleared entry is refilled.
         """
-        sub, mul = self.field.sub, self.field.mul
+        sub_multiple = self.field.sub_multiple
         rows = list(self.rows)
         for j in range(len(rows) - 1, 0, -1):
             p, row = self.pivots[j], rows[j]
             for i in range(j):
                 c = rows[i][p]
                 if c:
-                    other = rows[i]
-                    rows[i] = tuple([sub(other[x], mul(c, row[x])) for x in range(self.width)])
+                    rows[i] = tuple(sub_multiple(rows[i], c, row))
         return tuple(rows)
 
 

@@ -2,9 +2,8 @@
 
 Enumeration walks reduced-row-echelon bases directly: one pivot-column
 combination at a time (lexicographic), free cells filled with base-q digits,
-most significant first.  Every k-dimensional subspace of F_q^d appears
-exactly once, so positions are stable and a search can be split or resumed
-by position alone.
+most significant first, so every k-dimensional subspace of F_q^d appears
+exactly once, in one canonical order.
 
 :func:`max_sum_bruteforce` is the ground-truth oracle for the largest
 dim S + dim I over all families of n k-spaces with pairwise intersections of
@@ -17,14 +16,21 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from multiprocessing import get_context
 from random import Random
 from time import perf_counter
 
 from .bounds import ScidParams, best_bound
 from .gf import FieldSpec
-from .linalg import BadDims, Echelon, Subspace, _random_subspace_from, intersect
+from .linalg import (
+    BadDims,
+    Echelon,
+    Subspace,
+    _random_subspace_from,
+    coordinate_subspace,
+    intersect,
+)
 from .scid import SubspaceFamily, analyze
 
 ENUM_CAP_ENV = "SCIDKIT_ENUM_CAP"
@@ -51,100 +57,83 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
     return num // den
 
 
-def _enum_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_CAP
-
-
-def _free_cells(pivots: tuple[int, ...], d: int) -> list[tuple[int, int]]:
-    taken = set(pivots)
-    cells = []
-    for r, p in enumerate(pivots):
-        for c in range(p + 1, d):
-            if c not in taken:
-                cells.append((r, c))
-    return cells
-
-
-def iter_subspaces(d: int, k: int, field: FieldSpec, start: int = 0):
+def iter_subspaces(d: int, k: int, field: FieldSpec):
     """Yield every k-subspace of F_q^d once, in canonical order, uncapped.
 
     Canonical order: pivot-column combinations lexicographically, then free
     cells (row-major) as base-q digits with the first cell most significant.
-    `start` skips that many subspaces without building them.
     """
     if d < 0 or k < 0:
         raise BadDims(f"dimensions must be >= 0, got d={d}, k={k}")
-    q = field.order
     for pivots in combinations(range(d), k):
-        cells = _free_cells(pivots, d)
-        block = q ** len(cells)
-        if start >= block:
-            start -= block
-            continue
-        for index in range(start, block):
-            rows = [[0] * d for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            x = index
-            for r, c in reversed(cells):
-                rows[r][c] = x % q
-                x //= q
-            yield Subspace(field, d, tuple(tuple(row) for row in rows))
-        start = 0
+        cells = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, d) if c not in pivots]
+        for values in product(range(field.order), repeat=len(cells)):
+            rows = [[int(c == p) for c in range(d)] for p in pivots]
+            for (r, c), x in zip(cells, values):
+                rows[r][c] = x
+            yield Subspace(field, d, tuple(map(tuple, rows)))
 
 
-def enumerate_subspaces(d: int, k: int, field: FieldSpec, start: int = 0):
-    """Capped canonical enumeration; raises CapExceeded instead of stalling."""
-    total = gaussian_binomial(d, k, field.order)
-    cap = _enum_cap()
-    if total - start > cap:
+def _check_cap(total: int) -> None:
+    cap = int(os.environ.get(ENUM_CAP_ENV) or DEFAULT_ENUM_CAP)
+    if total > cap:
         raise CapExceeded(
-            f"{total - start} subspaces to enumerate exceeds the cap of {cap}; "
+            f"{total} subspaces to enumerate exceeds the cap of {cap}; "
             f"raise {ENUM_CAP_ENV} to proceed"
         )
-    return iter_subspaces(d, k, field, start)
 
 
-def subspace_at(d: int, k: int, field: FieldSpec, position: int) -> Subspace:
-    """The subspace at a canonical-order position, without a full walk."""
-    if position < 0:
-        raise BadDims(f"position must be >= 0, got {position}")
-    for s in iter_subspaces(d, k, field, start=position):
-        return s
-    raise BadDims(f"position {position} out of range for ({d}, {k}) over F_{field.order}")
+def enumerate_subspaces(d: int, k: int, field: FieldSpec):
+    """Capped canonical enumeration; raises CapExceeded instead of stalling."""
+    _check_cap(gaussian_binomial(d, k, field.order))
+    return iter_subspaces(d, k, field)
 
 
-@dataclass(frozen=True)
-class EnumerationCursor:
-    """Resumable position in the canonical enumeration of (d, k) subspaces."""
+def meeting_subspaces(d: int, k: int, t: int, field: FieldSpec) -> list[Subspace]:
+    """The k-spaces of F_q^d meeting <e_1..e_k> in dimension k - t, in canonical order.
 
-    field: FieldSpec
-    ambient_dim: int
-    subspace_dim: int
-    position: int = 0
+    There are [k, k-t]_q [d-k, t]_q q^(t^2) of them; more than the cap
+    (env SCIDKIT_ENUM_CAP) raises CapExceeded.  In the RREF basis of a
+    k-space W, the u rows with pivot < k (the upper rows) vanish at the
+    other rows' pivots, and the other rows vanish in the columns < k and are
+    independent.  So the last d - k columns have rank (k - u) plus the rank
+    of the upper rows there, and dim(W ∩ <e_1..e_k>) is k minus that rank.
+    The walk fills the rows in order, each row's free cells as base-q digits
+    with the first most significant, so it meets the bases in canonical
+    order; it cuts a branch once the upper rows' rank in the last d - k
+    columns can no longer end at t - (k - u).
+    """
+    if d < 0 or not 0 <= t <= k:
+        raise BadDims(f"need d >= 0 and 0 <= t <= k, got d={d}, k={k}, t={t}")
+    q = field.order
+    if d >= k:
+        _check_cap(gaussian_binomial(k, k - t, q) * gaussian_binomial(d - k, t, q) * q ** (t * t))
+    out = []
+    for pivots in combinations(range(d), k):
+        upper = sum(p < k for p in pivots)
+        need = t - (k - upper)
+        if need < 0:
+            continue
 
-    @property
-    def total(self) -> int:
-        return gaussian_binomial(self.ambient_dim, self.subspace_dim, self.field.order)
+        def fill(r: int, rows: tuple, tails: Echelon):
+            if r == k:
+                out.append(Subspace(field, d, rows))
+                return
+            cells = [c for c in range(pivots[r] + 1, d) if c not in pivots]
+            for values in product(range(q), repeat=len(cells)):
+                row = [int(c == pivots[r]) for c in range(d)]
+                for c, x in zip(cells, values):
+                    row[c] = x
+                grown = tails
+                if r < upper:
+                    grown = tails.copy()
+                    grown.insert(row[k:])
+                    if not need - (upper - r - 1) <= grown.rank <= need:
+                        continue
+                fill(r + 1, rows + (tuple(row),), grown)
 
-    @property
-    def done(self) -> bool:
-        return self.position >= self.total
-
-    def take(self, count: int):
-        """Next `count` subspaces and the advanced cursor."""
-        batch = []
-        for s in iter_subspaces(
-            self.ambient_dim, self.subspace_dim, self.field, start=self.position
-        ):
-            batch.append(s)
-            if len(batch) == count:
-                break
-        cursor = EnumerationCursor(
-            self.field, self.ambient_dim, self.subspace_dim, self.position + len(batch)
-        )
-        return tuple(batch), cursor
+        fill(0, (), Echelon(field, d - k))
+    return out
 
 
 PRUNE_REASONS = ("bound", "optimism")
@@ -159,12 +148,15 @@ class SearchStats:
     cut short, by reason: "bound" when the best sum found equals the proven
     bound, "optimism" when a node's optimistic sum is no better than the
     best.  candidates is |L|, the members left to choose from once the first
-    two are fixed (see :func:`_search_range`).
+    two are fixed (see :func:`max_sum_bruteforce`).  rank_tests counts the
+    compatibility tests, and intersect_calls the intersection bases built
+    for the members the walk chose.
     """
 
     nodes_per_depth: dict[int, int]
     prunes: dict[str, int]
     candidates: int
+    rank_tests: int
     intersect_calls: int
     elapsed_s: float
 
@@ -173,6 +165,7 @@ class SearchStats:
             "nodes_per_depth": {str(m): c for m, c in sorted(self.nodes_per_depth.items())},
             "prunes": dict(self.prunes),
             "candidates": self.candidates,
+            "rank_tests": self.rank_tests,
             "intersect_calls": self.intersect_calls,
             "elapsed_s": self.elapsed_s,
         }
@@ -205,39 +198,67 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
 class _Tree:
-    """The search tree below the fixed pair (0, c*), indexed by position in L.
+    """The search tree below the fixed pair (0, c*).
 
-    basis[j] is the basis of L[j]; fixed[j] the bases of L[j] ∩ 0 and
-    L[j] ∩ c*; meets[j][i], for each i < j with L[i] compatible with L[j],
-    the basis of their intersection; bit i of adj[j] is set when i > j and
-    L[i] is compatible with L[j].
+    members is (0, c*) followed by L, and the walk names members by their
+    position there.  meet(i, j), for i < j, is a basis of the intersection
+    of members i and j, and bit i of adj(j) is set when i > j and members i
+    and j are compatible.  Both are computed on first use and kept;
+    rank_tests and intersect_calls count that work.
     """
 
-    n: int
-    step: int
-    bound: int
-    s_root: Echelon
-    i_root: Echelon
-    basis: tuple
-    fixed: tuple
-    meets: tuple
-    adj: tuple[int, ...]
+    def __init__(self, n: int, k: int, t: int, field: FieldSpec, with_0: list[Subspace]):
+        self.n, self.k, self.t = n, k, t
+        self.step = t + min(t, k - t)
+        self.bound = best_bound(ScidParams(n, k, t)).best
+        self.rank_tests = self.intersect_calls = 0
+        self._meets: dict[tuple[int, int], tuple] = {}
+        self._adj: dict[int, int] = {}
+        c_star = Echelon.of(with_0[0])
+        self.members = (
+            coordinate_subspace(field, with_0[0].ambient_dim, range(k)),
+            with_0[0],
+            *(w for w in with_0[1:] if self.compatible(c_star, w)),
+        )
+        self.meet(0, 1)
+
+    def compatible(self, u: Echelon, w: Subspace) -> bool:
+        """dim(U ∩ W) = k - t, i.e. rank [U; W] = k + t, for u holding U."""
+        self.rank_tests += 1
+        both = u.copy()
+        for row in w.basis:
+            both.insert(row)
+        return both.rank == self.k + self.t
+
+    def meet(self, i: int, j: int) -> tuple:
+        if (i, j) not in self._meets:
+            self.intersect_calls += 1
+            self._meets[i, j] = intersect(self.members[i], self.members[j]).basis
+        return self._meets[i, j]
+
+    def adj(self, j: int) -> int:
+        if j not in self._adj:
+            u = Echelon.of(self.members[j])
+            later = range(j + 1, len(self.members))
+            self._adj[j] = sum(1 << i for i in later if self.compatible(u, self.members[i]))
+        return self._adj[j]
 
 
 def _walk(payload):
-    """DFS of a _Tree, over the third members at positions part, part + parts, ...
+    """DFS of a _Tree, over the third members at positions 2 + part, 2 + part + parts, ...
 
-    Returns (best_sum, best positions in L, nodes per depth, prunes by reason).
+    Returns (best_sum, best positions, nodes per depth, prunes by reason,
+    rank tests, intersect calls).
     """
     tree, part, parts = payload
     n, step, bound = tree.n, tree.step, tree.bound
+    tests, calls = tree.rank_tests, tree.intersect_calls
     best_sum: int | None = None
     best: tuple[int, ...] | None = None
     nodes = dict.fromkeys(range(2, n + 1), 0)
     prunes = dict.fromkeys(PRUNE_REASONS, 0)
-    chosen: list[int] = []
+    chosen: list[int] = [0, 1]
 
     def extend(m: int, cand: int, walk: int, s_ech: Echelon, i_ech: Echelon) -> None:
         nonlocal best_sum, best
@@ -260,38 +281,49 @@ def _walk(payload):
             walk ^= low
             j = low.bit_length() - 1
             s2 = s_ech.copy()
-            for row in tree.basis[j]:
+            for row in tree.members[j].basis:
                 s2.insert(row)
             i2 = i_ech.copy()
-            for row in tree.fixed[j]:
-                i2.insert(row)
             for i in chosen:
-                for row in tree.meets[j][i]:
+                for row in tree.meet(i, j):
                     i2.insert(row)
             chosen.append(j)
-            below = cand & tree.adj[j]
+            below = cand & tree.adj(j) if m + 1 < n else 0
             extend(m + 1, below, below, s2, i2)
             chosen.pop()
 
-    size = len(tree.adj)
-    dealt = sum(1 << j for j in range(part, size, parts))
-    extend(2, (1 << size) - 1, dealt, tree.s_root, tree.i_root)
-    return best_sum, best, nodes, prunes
+    zero, c_star = tree.members[:2]
+    s_root = Echelon.of(zero)
+    for row in c_star.basis:
+        s_root.insert(row)
+    i_root = Echelon(zero.field, zero.ambient_dim)
+    for row in tree.meet(0, 1):
+        i_root.insert(row)
+    size = len(tree.members)
+    dealt = sum(1 << j for j in range(2 + part, size, parts))
+    extend(2, (1 << size) - 4, dealt, s_root, i_root)  # candidates: positions 2.. (all of L)
+    return best_sum, best, nodes, prunes, tree.rank_tests - tests, tree.intersect_calls - calls
 
 
-def _search_range(
-    n: int, k: int, t: int, field: FieldSpec, d: int, jobs: int = 1
-) -> tuple[int | None, tuple[int, ...] | None, SearchStats]:
-    """Exact maximum of dim S + dim I, walking only the families that start (0, c*).
+def max_sum_bruteforce(
+    n: int,
+    k: int,
+    t: int,
+    field: FieldSpec,
+    d: int,
+    jobs: int = 1,
+) -> SearchResult:
+    """Exact maximum of dim S + dim I over all (k, k-t) families in F_q^d.
 
-    Candidates are the k-spaces of F_q^d in canonical order; a family is
-    walked as its increasing index tuple, which kills the n! permutation
-    symmetry.  Index 0 is the first candidate and c* the least index whose
-    intersection with index 0 has dimension k - t.  Only tuples
-    (0, c*, l_3, ..., l_n) are walked, with l_3 < ... < l_n in L, the list
-    of indices above c* compatible (meeting in dimension k - t) with both 0
-    and c*.  This returns the same best_sum and witness as the walk over all
-    increasing tuples:
+    The witness is the lexicographically least maximizer in canonical
+    order, whatever jobs is.  Candidates are the k-spaces of F_q^d in
+    canonical order; a family is walked as its increasing index tuple,
+    which kills the n! permutation symmetry.  Index 0 is the first
+    candidate and c* the least index whose intersection with index 0 has
+    dimension k - t.  Only tuples (0, c*, l_3, ..., l_n) are walked, with
+    l_3 < ... < l_n in L, the list of indices above c* compatible (meeting
+    in dimension k - t) with both 0 and c*.  This returns the same best_sum
+    and witness as the walk over all increasing tuples:
 
     * GL(d, q) preserves the dimensions of spans and intersections, so g in
       GL(d, q) maps every family with pairwise intersection dimension k - t
@@ -317,6 +349,14 @@ def _search_range(
       k - t (g would map such a pair to one containing 0), so no family
       exists and best_sum is None.
 
+    Nothing else is enumerated.  Index 0 has pivots 0..k-1 and no nonzero
+    free cell, so it is <e_1..e_k>, and :func:`meeting_subspaces` lists
+    exactly the indices compatible with it, in canonical order: c* is its
+    first entry and L its later entries compatible with c*, the same list
+    a filter of all k-spaces gives.  Compatibility needs no intersection:
+    dim(U ∩ W) = 2k - dim(U + W), so U and W are compatible exactly when
+    the 2k rows of their bases have rank k + t.
+
     Pruning uses the provable per-member increments of dim S + dim I: each
     member after the second adds at most t + min(t, k - t), because its new
     intersections pairwise meet inside the old I, and the sum never exceeds
@@ -324,57 +364,30 @@ def _search_range(
     the bound or the node's optimistic sum is no better than the best; ties
     keep the first witness, so neither cut changes the result.
 
-    Each candidate in L holds an int bitmask of the later positions in L
-    compatible with it, so a node's candidate set is the AND of its members'
-    masks.  Intersection bases are stored only for compatible pairs and
-    computed only with 0, with c* and within L.  jobs > 1 deals the third
-    member's positions in L round-robin to that many processes; each walks
-    its subtrees on its own and the merge keeps the largest sum, then the
-    least tuple, so the result does not depend on jobs.
+    Each member of L gets an int bitmask of the later members of L
+    compatible with it, so a node's candidate set is the AND of its
+    members' masks.  Masks and intersection bases are built when the walk
+    first needs them (see :class:`_Tree`), so a walk that stops at depth 3
+    tests no pair within L.  jobs > 1 deals the third member's positions in
+    L round-robin to that many processes; each walks its subtrees on its own
+    and the merge keeps the largest sum, then the least tuple, so the result
+    does not depend on jobs.
     """
+    if n < 2:
+        raise BadDims(f"n must be >= 2, got {n}")
+    if not 1 <= t <= k:
+        raise BadDims(f"need 1 <= t <= k, got t={t}, k={k}")
     start = perf_counter()
-    cands = list(enumerate_subspaces(d, k, field))
-    calls = 0
-
-    def meet(a: int, b: int):
-        nonlocal calls
-        calls += 1
-        s = intersect(cands[a], cands[b])
-        return s.basis if s.dim == k - t else None
-
     nodes = dict.fromkeys(range(2, n + 1), 0)
     prunes = dict.fromkeys(PRUNE_REASONS, 0)
-    with_0 = [(c, m) for c in range(1, len(cands)) if (m := meet(0, c)) is not None]
+    with_0 = meeting_subspaces(d, k, t, field)
     if not with_0:
-        return None, None, SearchStats(nodes, prunes, 0, calls, perf_counter() - start)
-    c_star, root_meet = with_0[0]
-    members, fixed = [], []
-    for c, m0 in with_0[1:]:
-        mc = meet(c_star, c)
-        if mc is not None:
-            members.append(c)
-            fixed.append(m0 + mc)
-    meets: list[dict[int, tuple]] = [{} for _ in members]
-    adj = [0] * len(members)
-    for j in range(len(members)):
-        for i in range(j):
-            m = meet(members[i], members[j])
-            if m is not None:
-                meets[j][i] = m
-                adj[i] |= 1 << j
+        stats = SearchStats(nodes, prunes, 0, 0, 0, perf_counter() - start)
+        return SearchResult(None, None, 0, True, stats)
+    tree = _Tree(n, k, t, field, with_0)
+    rank_tests, calls = tree.rank_tests, tree.intersect_calls
 
-    s_root = Echelon.of(cands[0])
-    for row in cands[c_star].basis:
-        s_root.insert(row)
-    i_root = Echelon(field, d)
-    for row in root_meet:
-        i_root.insert(row)
-    tree = _Tree(
-        n, t + min(t, k - t), best_bound(ScidParams(n, k, t)).best, s_root, i_root,
-        tuple(cands[c].basis for c in members), tuple(fixed), tuple(meets), tuple(adj),
-    )
-
-    parts = min(jobs, len(members)) if n > 2 else 1
+    parts = min(jobs, len(tree.members) - 2) if n > 2 else 1
     if parts <= 1:
         walks = [_walk((tree, 0, 1))]
     else:
@@ -386,42 +399,21 @@ def _search_range(
             walks = pool.map(_walk, [(tree, p, parts) for p in range(parts)])
 
     best_sum, best = None, None
-    for b, w, walk_nodes, walk_prunes in walks:
+    for b, w, walk_nodes, walk_prunes, walk_tests, walk_calls in walks:
         for m, c in walk_nodes.items():
             nodes[m] += c
         for r, c in walk_prunes.items():
             prunes[r] += c
+        rank_tests += walk_tests
+        calls += walk_calls
         if b is not None and (best_sum is None or b > best_sum or (b == best_sum and w < best)):
             best_sum, best = b, w
-    witness = None if best is None else (0, c_star, *(members[j] for j in best))
-    stats = SearchStats(nodes, prunes, len(members), calls, perf_counter() - start)
-    return best_sum, witness, stats
-
-
-def max_sum_bruteforce(
-    n: int,
-    k: int,
-    t: int,
-    field: FieldSpec,
-    d: int,
-    jobs: int = 1,
-) -> SearchResult:
-    """Exact maximum of dim S + dim I over all (k, k-t) families in F_q^d.
-
-    The witness is the lexicographically least maximizer in canonical
-    order, whatever jobs is; jobs > 1 deals the candidates for the third
-    member to that many processes (see :func:`_search_range`).
-    """
-    if n < 2:
-        raise BadDims(f"n must be >= 2, got {n}")
-    if not 1 <= t <= k:
-        raise BadDims(f"need 1 <= t <= k, got t={t}, k={k}")
-    best, witness_idx, stats = _search_range(n, k, t, field, d, jobs)
     witness = None
-    if witness_idx is not None:
-        members = [subspace_at(d, k, field, i) for i in witness_idx]
-        witness = SubspaceFamily(field, d, tuple(members))
-    return SearchResult(best, witness, sum(stats.nodes_per_depth.values()), True, stats)
+    if best is not None:
+        witness = SubspaceFamily(field, d, tuple(tree.members[j] for j in best))
+    elapsed = perf_counter() - start
+    stats = SearchStats(nodes, prunes, len(tree.members) - 2, rank_tests, calls, elapsed)
+    return SearchResult(best_sum, witness, sum(nodes.values()), True, stats)
 
 
 def random_scid_search(

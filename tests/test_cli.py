@@ -267,7 +267,9 @@ def test_search_cli_stats_go_to_stderr_only(capsys):
     line, = err.splitlines()
     stats = json.loads(line)
     assert line == canonical_dumps(stats)
-    assert set(stats) == {"nodes_per_depth", "prunes", "candidates", "intersect_calls", "elapsed_s"}
+    assert set(stats) == {
+        "nodes_per_depth", "prunes", "candidates", "rank_tests", "intersect_calls", "elapsed_s"
+    }
     assert sum(stats["nodes_per_depth"].values()) == json.loads(out)["result"]["explored"]
     assert set(stats["nodes_per_depth"]) == {"2", "3", "4"}
     assert set(stats["prunes"]) == {"bound", "optimism"}

@@ -342,6 +342,18 @@ def test_expected_sum_rejects_unknown_kind():
         expected_sum("spectrum2", 4, 3, 2, eps=1)
 
 
+def test_expected_sum_rejects_parameters_the_kind_does_not_take():
+    with pytest.raises(ValueError, match="max takes no eps"):
+        expected_sum("max", 3, 2, 1, eps=1)
+    with pytest.raises(ValueError, match="max takes no eps"):
+        expected_sum("max", 3, 2, 1, eps=0)
+    with pytest.raises(ValueError, match="spectrum1 takes no eta"):
+        expected_sum("spectrum1", 3, 3, 2, eps=1, eta=5)
+    # eps defaults to 0 for the kinds that take it
+    assert expected_sum("spectrum1", 3, 3, 2) == expected_sum("spectrum1", 3, 3, 2, eps=0) == 9
+    assert expected_sum("max", 3, 2, 1) == 6
+
+
 def _builder_accepts(entry, n, k, t, field, params) -> bool:
     try:
         entry.build(n, k, t, field, **params)

@@ -1,12 +1,18 @@
 """Field arithmetic: golden tables, axioms, towers, serialization."""
 
+import json
 import pickle
 import random
+import time
 
 import pytest
 
+from scidkit.cli import main
 from scidkit.gf import (
+    _MR_LIMIT,
+    _is_prime,
     DegreeMismatch,
+    FieldError,
     FieldSpec,
     NotASubfieldInTower,
     NotPrime,
@@ -174,3 +180,71 @@ def test_field_from_order_rejects_non_prime_power():
         field_from_order(6)
     with pytest.raises(NotPrime):
         field_from_order(12)
+
+
+def _trial_division(n):
+    """The primality test field_new used before Miller-Rabin."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    for n in range(-3, 10**5):
+        assert _is_prime(n) == _trial_division(n), n
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 63973, 75361)
+    assert not any(_is_prime(n) for n in carmichael)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, by their factors
+    for factors in ((151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)):
+        n = 1
+        for f in factors:
+            n *= f
+        assert not _is_prime(n), n
+    for p in (2**61 - 1, 10**18 + 3, 2**64 - 59):
+        assert _is_prime(p), p
+
+
+def test_huge_characteristic_is_decided_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    f = field_new(10**18 + 3)
+    assert f.mul(f.inv(12345), 12345) == 1
+    assert field_from_order(10**18 + 3) == f
+    # the least composite that passes all 13 bases is beyond what is decided
+    with pytest.raises(FieldError, match="too large"):
+        field_new(_MR_LIMIT)
+    with pytest.raises(FieldError):
+        field_from_order(_MR_LIMIT + 2)
+    family = {
+        "ambient": 3,
+        "members": [{"ambient": 3, "basis": [[1, 0, 0]]}, {"ambient": 3, "basis": [[0, 1, 0]]}],
+    }
+    codes = []
+    for p in (10**18 + 3, _MR_LIMIT, 10**40 + 1):
+        path = tmp_path / f"family_{p}.json"
+        path.write_text(json.dumps({**family, "field": {"p": p, "tower": []}}))
+        codes.append(main(["verify", str(path)]))
+    capsys.readouterr()
+    assert codes == [0, 2, 2]
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 10**18 + 3])
+def test_fused_row_operations_match_entrywise_arithmetic(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(50):
+        v = [rng.randrange(q) for _ in range(7)]
+        row = [rng.randrange(q) for _ in range(7)]
+        c = rng.randrange(q)
+        want = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+        assert field.sub_multiple(v, c, row) == want
+        assert field.scale(c, row) == [field.mul(c, b) for b in row]

@@ -7,20 +7,20 @@ from pathlib import Path
 import pytest
 
 from scidkit.bounds import ScidParams, best_bound
+from scidkit.cli import main
 from scidkit.gf import field_from_order
-from scidkit.linalg import BadDims, intersect
+from scidkit.linalg import BadDims, coordinate_subspace, intersect
 from scidkit.scid import SubspaceFamily, analyze, verify_scid
 from scidkit.search import (
     CapExceeded,
     ENUM_CAP_ENV,
-    EnumerationCursor,
     SearchResult,
     enumerate_subspaces,
     gaussian_binomial,
     iter_subspaces,
     max_sum_bruteforce,
+    meeting_subspaces,
     random_scid_search,
-    subspace_at,
 )
 
 F2 = field_from_order(2)
@@ -68,44 +68,15 @@ def test_enumeration_counts_and_distinctness(d, k, q):
         assert len(basis) == k
 
 
-def test_enumeration_start_is_a_suffix():
-    full = list(iter_subspaces(4, 2, F2))
-    for start in (0, 1, 7, 20, 34, 35):
-        assert list(iter_subspaces(4, 2, F2, start=start)) == full[start:]
-
-
-def test_subspace_at_matches_enumeration():
-    full = list(iter_subspaces(4, 2, F3))
-    for pos in (0, 1, 64, len(full) - 1):
-        assert subspace_at(4, 2, F3, pos) == full[pos]
-    with pytest.raises(BadDims):
-        subspace_at(4, 2, F3, len(full))
-    with pytest.raises(BadDims):
-        subspace_at(4, 2, F3, -1)
-
-
-def test_cursor_chunks_recompose_enumeration():
-    full = list(iter_subspaces(3, 2, F2))
-    cursor = EnumerationCursor(F2, 3, 2)
-    assert cursor.total == 7 and not cursor.done
-    collected = []
-    while not cursor.done:
-        batch, cursor = cursor.take(3)
-        collected.extend(batch)
-    assert collected == full
-    assert cursor.position == 7 and cursor.done
-    # restart from an arbitrary checkpoint
-    mid = EnumerationCursor(F2, 3, 2, position=4)
-    rest, _ = mid.take(10)
-    assert list(rest) == full[4:]
-
-
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "10")
     with pytest.raises(CapExceeded, match=ENUM_CAP_ENV):
         enumerate_subspaces(4, 2, F2)
-    # skipping ahead shrinks the remaining workload below the cap
-    assert len(list(enumerate_subspaces(4, 2, F2, start=30))) == 5
+    # the search's candidates are capped by their own count, 3 * 3 * 2 here
+    with pytest.raises(CapExceeded, match=ENUM_CAP_ENV):
+        meeting_subspaces(4, 2, 1, F2)
+    monkeypatch.setenv(ENUM_CAP_ENV, "18")
+    assert len(meeting_subspaces(4, 2, 1, F2)) == 18
     monkeypatch.setenv(ENUM_CAP_ENV, "35")
     assert len(list(enumerate_subspaces(4, 2, F2))) == 35
 
@@ -178,6 +149,11 @@ def _reference_max(n, k, t, field, d):
         (4, 1, 1, 3, 2),
         (3, 2, 1, 4, 3),
         (3, 1, 1, 4, 2),
+        (3, 3, 1, 2, 4),  # k = 3
+        (4, 3, 1, 2, 4),
+        (2, 3, 1, 3, 4),
+        (2, 3, 2, 2, 5),  # t = 2 < k
+        (3, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
     ],
 )
 def test_oracle_matches_reference_search(n, k, t, q, d):
@@ -185,6 +161,36 @@ def test_oracle_matches_reference_search(n, k, t, q, d):
     res = max_sum_bruteforce(n, k, t, field, d)
     assert (res.best_sum, res.witness) == _reference_max(n, k, t, field, d)
     assert res.exhaustive
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_meeting_subspaces_are_the_filtered_enumeration(q):
+    field = field_from_order(q)
+    for d in range(6 if q == 2 else 5):
+        for k in range(d + 1):
+            for t in range(k + 1):
+                if q ** (k * (d - k)) > 2000:
+                    continue
+                zero = coordinate_subspace(field, d, range(k))
+                want = [s for s in iter_subspaces(d, k, field) if intersect(s, zero).dim == k - t]
+                got = meeting_subspaces(d, k, t, field)
+                assert got == want, (d, k, t)
+                count = gaussian_binomial(k, k - t, q) * gaussian_binomial(d - k, t, q)
+                assert len(got) == count * q ** (t * t), (d, k, t)
+
+
+def test_first_meeting_subspace_need_not_be_a_coordinate_subspace():
+    c_star = meeting_subspaces(4, 2, 1, F2)[0]
+    assert c_star.basis == ((1, 0, 0, 0), (0, 1, 0, 1))
+    assert max_sum_bruteforce(3, 2, 1, F2, 4).witness.members[1] == c_star
+
+
+def test_three_member_search_tests_no_pair_within_the_candidates():
+    res = max_sum_bruteforce(3, 3, 1, F2, 5)
+    # one rank test per k-space after c* that meets index 0, and none within L
+    assert res.stats.rank_tests == len(meeting_subspaces(5, 3, 1, F2)) - 1
+    # the root's intersection, then two per third member visited
+    assert res.stats.intersect_calls == 1 + 2 * res.stats.nodes_per_depth[3]
 
 
 @pytest.mark.parametrize(
@@ -233,6 +239,29 @@ def test_recorded_refined_regime_maximum_reproduces():
     assert res.witness.to_dict() == recorded["witness"]
     assert recorded["best_bound"] == best_bound(ScidParams(4, 3, 1)).best == 9
     assert recorded["attains_bound"] is False
+
+
+@pytest.mark.parametrize(
+    "name", ["max_sum_n4_k3_t1_q3_d6.json", "max_sum_n5_k3_t1_q2_d7.json"]
+)
+def test_exact_maximum_record_reproduces_and_verifies(name, tmp_path, capsys):
+    recorded = json.loads((RESULTS / name).read_text())
+    p = recorded["params"]
+    n, k, t, q, d = p["n"], p["k"], p["t"], p["q"], p["d"]
+    assert d == k + (n - 1) * t
+    assert recorded["reproduce"] == f"scidkit search --n {n} --k {k} --t {t} --q {q} --d {d}"
+    res = max_sum_bruteforce(n, k, t, field_from_order(q), d)
+    assert res.exhaustive
+    assert res.best_sum == recorded["exact_max"]
+    assert res.witness.to_dict() == recorded["witness"]
+    assert recorded["best_bound"] == best_bound(ScidParams(n, k, t)).best
+    assert recorded["attains_bound"] is (res.best_sum == recorded["best_bound"])
+    family = tmp_path / "witness.json"
+    family.write_text(json.dumps(recorded["witness"]))
+    capsys.readouterr()
+    assert main(["verify", str(family)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert (report["is_scid"], report["t"], report["sum"]) == (True, t, res.best_sum)
 
 
 def test_oracle_rejects_bad_parameters():
