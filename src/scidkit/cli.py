@@ -24,12 +24,13 @@ import json
 import shlex
 import sys
 from datetime import datetime, timezone
+from functools import cache
 
 from . import __version__
 from .bounds import NotApplicable, ScidParams, best_bound, check_family
 from .construct import CONSTRUCTIONS, ConstructionTrace, PreconditionViolated, expected_sum
 from .gf import FieldError, field_from_order
-from .scid import SubspaceFamily, analyze, verify_scid
+from .scid import SubspaceFamily, analyze
 from .search import CapExceeded, max_sum_bruteforce, random_scid_search
 
 CERT_VERSION = "1"
@@ -91,7 +92,7 @@ def _cmd_construct(args) -> int:
     print(canonical_dumps(cert))
 
     if args.check:
-        ok = verify_scid(family, args.k, args.t)
+        ok = report.is_scid and report.k == args.k and report.t == args.t
         want = expected_sum(args.kind, args.n, args.k, args.t, **params)
         ok = ok and report.sum == want
         ok = ok and not cert["bounds"]["violation"]
@@ -268,7 +269,9 @@ def _cmd_search(args) -> int:
     return 1 if violation else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="scidkit",
         description="Families of k-spaces with constant pairwise intersection dimension: "

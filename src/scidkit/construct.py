@@ -34,6 +34,7 @@ from .linalg import (
     coordinate_subspace,
     embed_subspace,
     intersect,
+    meet_dim,
     rref,
 )
 from .scid import SubspaceFamily, analyze
@@ -553,7 +554,7 @@ def lift_spread_to_sunflower(spread: SubspaceFamily, center_dim: int) -> Subspac
     if len(dims) != 1:
         raise NotASpread(f"member dimensions {sorted(dims)} are not constant")
     for a, b in combinations(spread.members, 2):
-        if intersect(a, b).dim != 0:
+        if meet_dim(a, b) != 0:
             raise NotASpread("members must intersect pairwise trivially")
     ech = Echelon(spread.field, spread.ambient_dim)
     for s in spread.members:

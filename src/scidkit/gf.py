@@ -56,6 +56,18 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+MAX_EXTENSION_ORDER = 2**10
+"""The largest order :func:`field_new` builds an extension field of.
+
+Extension arithmetic uses q x q addition tables, built on first use: at
+q = 1024 the addition table holds 1,048,576 entries.  The irreducibility
+test of a given modulus tries every monic factor of up to half its degree,
+so without the limit a degree-2 tower over a prime near 10^18 would try
+10^18 linear factors.  Prime fields do modular arithmetic, need no tables
+and take no limit.
+"""
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises FieldError for n >= _MR_LIMIT."""
     if n >= _MR_LIMIT:
@@ -452,7 +464,9 @@ def field_new(
 
     Without an explicit modulus the lexicographically smallest monic
     irreducible polynomial of degree e is selected, so repeated calls agree.
-    Raises NotPrime, DegreeMismatch or ReducibleModulus on bad input.
+    Raises NotPrime, DegreeMismatch or ReducibleModulus on bad input, and
+    FieldError for an extension of order above MAX_EXTENSION_ORDER, before
+    any modulus is tested.
     """
     if e < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {e}")
@@ -470,6 +484,11 @@ def field_new(
             raise FieldMismatch(
                 f"characteristic {p} does not match base characteristic {base.characteristic}"
             )
+    # order >= 2^e, so the bit-length test spares computing a huge power
+    if e >= MAX_EXTENSION_ORDER.bit_length() or base.order**e > MAX_EXTENSION_ORDER:
+        raise FieldError(
+            f"extension of order {base.order}^{e} is too large (limit {MAX_EXTENSION_ORDER})"
+        )
     if modulus is None:
         modulus = _smallest_irreducible(base, e)
     else:

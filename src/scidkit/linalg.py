@@ -61,9 +61,18 @@ class Echelon:
     @classmethod
     def of(cls, s: "Subspace") -> "Echelon":
         """An accumulator holding s's canonical basis, which is already echelon."""
-        ech = cls(s.field, s.ambient_dim)
-        ech.rows = list(s.basis)
-        ech.pivots = [next(i for i, x in enumerate(r) if x) for r in s.basis]
+        return cls._of_rows(s.field, s.ambient_dim, s.basis)
+
+    @classmethod
+    def _of_rows(cls, field: FieldSpec, width: int, rows) -> "Echelon":
+        """An accumulator holding rows taken as they stand.
+
+        The rows must already be echelon with leading ones, so each row's
+        pivot is its first 1.
+        """
+        ech = cls(field, width)
+        ech.rows = list(rows)
+        ech.pivots = [r.index(1) for r in ech.rows]
         return ech
 
     def copy(self) -> "Echelon":
@@ -236,26 +245,34 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
     Rows [v|v] for v in a and [w|0] for w in b span W = {(v + w, v)}, and
     (v + w, v) has a zero left half exactly when v = -w lies in a ∩ b, so
-    W meets {0} x F^d in {0} x (a ∩ b).  In an echelon basis of W the rows
-    with pivot >= d have a zero left half and are independent; any
-    combination that uses a row with pivot < d is nonzero at the least such
-    pivot, because the rows below it vanish there.  Those rows therefore
-    span {0} x (a ∩ b).  Their right halves are in echelon form with leading
-    ones, and reducing them gives the canonical basis.
+    W meets {0} x F^d in {0} x (a ∩ b).  a's canonical basis makes the rows
+    [v|v] echelon with leading ones as they stand, so only b's rows are
+    inserted.  In an echelon basis of W the rows with pivot >= d have a zero
+    left half and are independent; any combination that uses a row with
+    pivot < d is nonzero at the least such pivot, because the rows below it
+    vanish there.  Those rows therefore span {0} x (a ∩ b).  Their right
+    halves keep their order, pivots and leading ones, so they are echelon as
+    they stand, and reducing them gives the canonical basis.
     """
     _check_peers(a, b)
     d = a.ambient_dim
     zeros = (0,) * d
-    ech = Echelon(a.field, 2 * d)
-    for r in a.basis:
-        ech.insert(r + r)
+    ech = Echelon._of_rows(a.field, 2 * d, [r + r for r in a.basis])
     for r in b.basis:
         ech.insert(r + zeros)
-    inter = Echelon(a.field, d)
-    for p, r in zip(ech.pivots, ech.rows):
-        if p >= d:
-            inter.insert(r[d:])
+    inter = Echelon._of_rows(a.field, d, [r[d:] for p, r in zip(ech.pivots, ech.rows) if p >= d])
     return Subspace(a.field, d, inter.reduced())
+
+
+def meet_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a ∩ b) = dim a + dim b - rank [a; b], without building a basis.
+
+    a's canonical rows seed one width-d accumulator as they stand, and each
+    of b's rows that raises its rank is one dimension of b outside a.
+    """
+    _check_peers(a, b)
+    ech = Echelon.of(a)
+    return b.dim - sum(ech.insert(r) for r in b.basis)
 
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gf import FieldMismatch, FieldSpec
-from .linalg import AmbientMismatch, Subspace, intersect, rref, zero_subspace
+from .linalg import AmbientMismatch, Subspace, intersect, meet_dim, rref, zero_subspace
 
 
 class MixedMemberDimensions(ValueError):
@@ -147,7 +147,10 @@ def analyze(family: SubspaceFamily) -> ScidReport:
     """Measure a family's intersection structure from scratch.
 
     Order-invariant: permuting the members permutes the pairwise table but
-    changes nothing else.  Raises MixedMemberDimensions on unequal member
+    changes nothing else.  I is spanned by the distinct pairwise
+    intersections, so a sunflower's n(n-1)/2 equal ones feed it once, and
+    the family is a sunflower exactly when there is one distinct
+    intersection.  Raises MixedMemberDimensions on unequal member
     dimensions and TooFewMembers below two members.
     """
     n = family.n
@@ -172,11 +175,10 @@ def analyze(family: SubspaceFamily) -> ScidReport:
 
     s_rows = [r for m in family.members for r in m.basis]
     big_s = rref(field, d, s_rows)
-    i_rows = [r for sub in inter.values() for r in sub.basis]
+    distinct = list(dict.fromkeys(inter.values()))
+    i_rows = [r for sub in distinct for r in sub.basis]
     big_i = rref(field, d, i_rows) if i_rows else zero_subspace(field, d)
-
-    first = inter[(0, 1)]
-    center = first if all(sub == first for sub in inter.values()) else None
+    center = distinct[0] if len(distinct) == 1 else None
 
     return ScidReport(
         n=n,
@@ -202,6 +204,4 @@ def verify_scid(family: SubspaceFamily, k: int, t: int) -> bool:
     if any(m.dim != k for m in family.members):
         return False
     want = k - t
-    return all(
-        intersect(a, b).dim == want for a, b in combinations(family.members, 2)
-    )
+    return all(meet_dim(a, b) == want for a, b in combinations(family.members, 2))

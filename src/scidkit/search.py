@@ -30,6 +30,7 @@ from .linalg import (
     _random_subspace_from,
     coordinate_subspace,
     intersect,
+    meet_dim,
 )
 from .scid import SubspaceFamily, analyze
 
@@ -445,7 +446,7 @@ def random_scid_search(
         while len(members) < n and attempts < 64:
             attempts += 1
             cand = _random_subspace_from(rng, d, k, field)
-            if all(intersect(cand, s).dim == k - t for s in members):
+            if all(meet_dim(cand, s) == k - t for s in members):
                 members.append(cand)
         if len(members) < n:
             continue

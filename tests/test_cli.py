@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import scidkit
+from scidkit import cli, construct, linalg, scid, search
 from scidkit.cli import canonical_dumps, main
 from scidkit.construct import CONSTRUCTIONS
+from scidkit.gf import field_from_order
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -328,3 +330,105 @@ def test_console_script_entry_point():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["best"] == 6
+
+
+def test_each_pair_is_intersected_once(capsys, monkeypatch):
+    calls = []
+    real = linalg.intersect
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    for module in (linalg, scid, construct, search):
+        monkeypatch.setattr(module, "intersect", counted)
+    code, cert, _ = run_cli(
+        capsys, "construct", "sunflower", "--n", "20", "--k", "4", "--t", "2", "--q", "2",
+        "--eta", "17", "--check",
+    )
+    assert code == 0 and len(calls) == 190
+    calls.clear()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cert))
+    code, out, _ = run_cli(capsys, "verify", "-")
+    assert code == 0 and json.loads(out)["ok"] is True and len(calls) == 190
+    # the random search rejects by rank; only analyze of a completed family intersects
+    calls.clear()
+    res = search.random_scid_search(3, 2, 1, field_from_order(3), 4, seed=5, iterations=10)
+    assert res.explored > 0 and len(calls) == res.explored * 3
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _without_provenance(text):
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    if isinstance(data, dict):
+        data.pop("provenance", None)
+    return data
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+    """In-process calls on the one parser give what a fresh process gives for each."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cert = tmp_path / "cert.json"
+    commands = [
+        ("construct", "sunflower", "--n", "5", "--k", "3", "--t", "2", "--q", "2",
+         "--eta", "3", "--eps", "1", "--check"),
+        ("verify", str(cert)),
+        ("bounds", "--n", "4", "--k", "2", "--t", "1"),
+        ("construct", "max", "--n", "3", "--k", "2", "--t", "1"),  # argparse error: no --q
+        ("search", "--n", "3", "--k", "2", "--t", "1", "--q", "2", "--d", "4"),
+        ("spectrum", "--n", "3", "--k", "2", "--t", "1", "--q", "2", "--json"),
+        ("construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "3", "--check"),
+        ("search", "--n", "3", "--k", "2", "--t", "1", "--q", "3", "--d", "4", "--random",
+         "--seed", "4", "--iters", "5"),
+        ("bounds", "--n", "5", "--k", "3", "--t", "2", "--json"),
+        ("verify", str(cert)),
+    ]
+    in_process = []
+    for args in commands:
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if args[0] == "construct" and code == 0 and not cert.exists():
+            cert.write_text(out)
+        in_process.append((code, _without_provenance(out), err))
+
+    src = str(Path(scidkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    entry = "import sys; from scidkit.cli import main; sys.exit(main())"
+    for args, got in zip(commands, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, *args], capture_output=True, text=True, env=env
+        )
+        assert got == (proc.returncode, _without_provenance(proc.stdout), proc.stderr), args
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "kind, args, build",
+    [
+        # t: a (3, 3, 2) max family meets pairwise in 1, not the asked 2; its sum is 9 = n*k
+        ("max", ("--n", "3", "--k", "3", "--t", "1"),
+         lambda n, k, t, field: construct.construct_max(n, k, t + 1, field)),
+        # k: a (6, 4, 2) sunflower with eta = 2 sums to 12, as (6, 3, 2) with eta = 1 does
+        ("sunflower", ("--n", "6", "--k", "3", "--t", "2", "--eta", "1"),
+         lambda n, k, t, field, eta, eps:
+             construct.construct_sunflower(n, k + 1, t, field, eta + 1, eps)),
+    ],
+)
+def test_construct_check_rejects_the_wrong_pattern(capsys, monkeypatch, kind, args, build):
+    monkeypatch.setitem(CONSTRUCTIONS, kind, replace(CONSTRUCTIONS[kind], build=build))
+    code, out, err = run_cli(capsys, "construct", kind, *args, "--q", "2", "--check")
+    cert = json.loads(out)
+    assert cert["report"]["is_scid"] and not cert["bounds"]["violation"]
+    assert code == 1
+    # the sum matches the closed form, so only the pattern check can fail
+    assert err == f"check failed: sum={cert['report']['sum']}, expected={cert['report']['sum']}\n"

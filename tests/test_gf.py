@@ -1,14 +1,20 @@
 """Field arithmetic: golden tables, axioms, towers, serialization."""
 
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import scidkit
 from scidkit.cli import main
 from scidkit.gf import (
+    MAX_EXTENSION_ORDER,
     _MR_LIMIT,
     _is_prime,
     DegreeMismatch,
@@ -235,6 +241,40 @@ def test_huge_characteristic_is_decided_fast(tmp_path, capsys):
     capsys.readouterr()
     assert codes == [0, 2, 2]
     assert time.perf_counter() - start < 5
+
+
+def test_tower_over_a_huge_prime_is_refused_fast(tmp_path):
+    """verify exits 2 on a degree-2 tower over a prime near 10^18, in a guarded process."""
+    family = {
+        "field": {"p": 10**18 + 3, "tower": [[1, 0, 1]]},
+        "ambient": 3,
+        "members": [{"ambient": 3, "basis": [[1, 0, 0]]}, {"ambient": 3, "basis": [[0, 1, 0]]}],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    src = str(Path(scidkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from scidkit.cli import main; sys.exit(main())",
+         "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "too large" in proc.stderr
+
+
+def test_extension_order_limit():
+    assert field_from_order(MAX_EXTENSION_ORDER).order == MAX_EXTENSION_ORDER
+    assert field_new(3, 6).order == 729 <= MAX_EXTENSION_ORDER
+    for make in (
+        lambda: field_from_order(2 * MAX_EXTENSION_ORDER),
+        lambda: field_new(2, 10**9),
+        lambda: field_new(2, 2, base=extension_field(field_from_order(2), 6)),
+        lambda: field_new(10**18 + 3, 2, modulus=(1, 0, 1), base=field_new(10**18 + 3)),
+    ):
+        with pytest.raises(FieldError, match="too large"):
+            make()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 10**18 + 3])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scidkit.gf import field_from_order
+from scidkit.gf import FieldMismatch, field_from_order
 from scidkit.linalg import (
     AmbientMismatch,
     BadDims,
@@ -17,6 +17,7 @@ from scidkit.linalg import (
     full_subspace,
     intersect,
     is_subspace_of,
+    meet_dim,
     quotient_map,
     random_subspace,
     rref,
@@ -163,6 +164,31 @@ def test_intersect_membership_exact():
             i = intersect(a, b)
             common = {v for v in a.vectors() if b.contains_vector(v)}
             assert set(i.vectors()) == common
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_meet_dim_matches_intersect(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        a = rref(field, d, _random_rows(rng, field, rng.randrange(d + 1), d))
+        b = rref(field, d, _random_rows(rng, field, rng.randrange(d + 1), d))
+        specials = (zero_subspace(field, d), full_subspace(field, d))
+        pairs = [(a, b), (b, a), (a, a), *((a, s) for s in specials), *((s, a) for s in specials)]
+        for x, y in pairs:
+            assert meet_dim(x, y) == intersect(x, y).dim, (q, x, y)
+
+
+def test_meet_dim_peer_checks_match_intersect():
+    for x, y, error in [
+        (zero_subspace(F2, 3), zero_subspace(F2, 4), AmbientMismatch),
+        (full_subspace(F2, 3), full_subspace(F3, 3), FieldMismatch),
+        (full_subspace(F4, 2), zero_subspace(F2, 3), FieldMismatch),
+    ]:
+        for fn in (intersect, meet_dim):
+            with pytest.raises(error):
+                fn(x, y)
 
 
 def test_peer_checks():

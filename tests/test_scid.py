@@ -1,14 +1,18 @@
 """Family analysis: intersection tables, S and I, sunflowers, spreads."""
 
 import random
+from dataclasses import fields
+from itertools import combinations
 
 import pytest
 
+from scidkit.construct import construct_max, construct_spectrum2, construct_sunflower
 from scidkit.gf import field_from_order
-from scidkit.linalg import coordinate_subspace, rref
+from scidkit.linalg import Subspace, coordinate_subspace, rref
 from scidkit.scid import (
     DuplicateMembers,
     MixedMemberDimensions,
+    ScidReport,
     SubspaceFamily,
     TooFewMembers,
     analyze,
@@ -162,3 +166,109 @@ def test_analysis_with_non_rref_input_rows():
     m3 = rref(F2, 3, [(0, 1, 1), (0, 1, 0)])
     rep = analyze(SubspaceFamily.from_members([m1, m2, m3]))
     assert rep.sum == 6 and rep.t == 1
+
+
+# ---------------------------------------------------------------------------
+# differential test of analyze against a reference written here
+# ---------------------------------------------------------------------------
+
+
+def _gauss_jordan(field, rows, width):
+    """Textbook reduced row echelon form; zero rows dropped."""
+    mat = [list(r) for r in rows]
+    top = 0
+    for col in range(width):
+        hit = next((r for r in range(top, len(mat)) if mat[r][col]), None)
+        if hit is None:
+            continue
+        mat[top], mat[hit] = mat[hit], mat[top]
+        pinv = field.inv(mat[top][col])
+        mat[top] = [field.mul(pinv, x) for x in mat[top]]
+        for r in range(len(mat)):
+            f = mat[r][col]
+            if r != top and f:
+                mat[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[r], mat[top])]
+        top += 1
+    return tuple(tuple(r) for r in mat[:top])
+
+
+def _zassenhaus(field, d, a, b):
+    """Basis of a ∩ b: the right halves of the reduced [a|a; b|0] rows whose left half is 0."""
+    red = _gauss_jordan(field, [v + v for v in a] + [w + (0,) * d for w in b], 2 * d)
+    return _gauss_jordan(field, [r[d:] for r in red if not any(r[:d])], d)
+
+
+def _reference_report(family):
+    """Every ScidReport field, Subspaces as bases: I from all rows, center by all-equal."""
+    field, d, members = family.field, family.ambient_dim, family.members
+    n, k = family.n, members[0].dim
+    inter = {
+        (i, j): _zassenhaus(field, d, members[i].basis, members[j].basis)
+        for i, j in combinations(range(n), 2)
+    }
+    dims = [[k] * n for _ in range(n)]
+    for (i, j), basis in inter.items():
+        dims[i][j] = dims[j][i] = len(basis)
+    off = {len(basis) for basis in inter.values()}
+    t = k - min(off) if len(off) == 1 else None
+    big_s = _gauss_jordan(field, [r for m in members for r in m.basis], d)
+    big_i = _gauss_jordan(field, [r for basis in inter.values() for r in basis], d)
+    first = inter[(0, 1)]
+    return {
+        "n": n,
+        "k": k,
+        "pairwise_dims": tuple(map(tuple, dims)),
+        "is_scid": len(off) == 1,
+        "t": t,
+        "S": big_s,
+        "I": big_i,
+        "sum": len(big_s) + len(big_i),
+        "sunflower_center": first if all(b == first for b in inter.values()) else None,
+        "is_partial_spread": t == k,
+    }
+
+
+def _random_family(rng, field, d, k, n):
+    members = {}
+    while len(members) < n:
+        rows = [[rng.randrange(field.order) for _ in range(d)] for _ in range(k)]
+        s = rref(field, d, rows)
+        if s.dim == k:
+            members.setdefault(s.basis, s)
+    return SubspaceFamily.from_members(list(members.values()))
+
+
+def _families(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    out = []
+    for d, k, n in ((5, 2, 4), (5, 3, 3), (6, 3, 5), (4, 1, 3)):
+        out.append(_random_family(rng, field, d, k, n))  # mostly not SCID
+    for n in (3, 5, 7):
+        # planes of F_q^3 meet pairwise in lines; three or more often share one
+        out.append(_random_family(rng, field, 3, 2, min(n, q * q + q + 1)))
+    out.append(construct_max(4, 3, 2, field)[0])
+    out.append(construct_spectrum2(5, 4, 3, field, 3, 1)[0])  # repeated glued blocks
+    out.append(construct_sunflower(5, 3, 2, field, 3, 1)[0])
+    out.append(construct_sunflower(6, 2, 1, field, 3, 0)[0])
+    out.append(SubspaceFamily.from_members(
+        [coordinate_subspace(field, 5, cs) for cs in ([0, 1], [0, 2], [0, 3], [1, 2], [3, 4])]
+    ))  # repeated and distinct intersections, not SCID
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_analyze_matches_reference_zassenhaus(q):
+    kinds = set()
+    for family in _families(q):
+        rep = analyze(family)
+        want = _reference_report(family)
+        assert {f.name for f in fields(ScidReport)} == set(want)
+        for name, expected in want.items():
+            got = getattr(rep, name)
+            if isinstance(got, Subspace):
+                assert got.ambient_dim == family.ambient_dim
+                got = got.basis
+            assert got == expected, (q, name, family)
+        kinds.add((rep.is_scid, rep.sunflower_center is not None))
+    assert kinds >= {(False, False), (True, False), (True, True)}
