@@ -114,7 +114,7 @@ def _load_json(path: str):
 def _cmd_verify(args) -> int:
     try:
         data = _load_json(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(canonical_dumps({"error": f"unreadable input: {exc}"}), file=sys.stderr)
         return 2
 
@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
             return _verify_certificate(data)
         if isinstance(data, dict) and "field" in data and "members" in data:
             return _verify_bare_family(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         print(canonical_dumps({"error": f"malformed input: {exc}"}), file=sys.stderr)
         return 2
     print(canonical_dumps({"error": "neither a certificate nor a family"}), file=sys.stderr)

@@ -34,10 +34,11 @@ from .linalg import (
     coordinate_subspace,
     embed_subspace,
     intersect,
+    is_subspace_of,
     meet_dim,
     rref,
 )
-from .scid import SubspaceFamily, analyze
+from .scid import SubspaceFamily, _pairwise_intersections
 from .search import enumerate_subspaces, iter_subspaces
 
 
@@ -258,7 +259,9 @@ def construct_max(n: int, k: int, t: int, field: FieldSpec):
 def check_max_conditions(family: SubspaceFamily, trace: ConstructionTrace) -> dict[str, bool]:
     """The three structural conditions equivalent to sum == n*k.
 
-    1. every traced V_ij equals the measured intersection of members i and j;
+    1. every traced V_ij equals the measured intersection of members i and j,
+       tested without building it: V_ij lies in both members and has the
+       dimension of their intersection;
     2. every member is generated by its U_i together with its V_ij, with U_i
        of dimension k - (n-1)(k-t);
     3. all U_i and V_ij together span dimension
@@ -278,10 +281,12 @@ def check_max_conditions(family: SubspaceFamily, trace: ConstructionTrace) -> di
             vee[(i, j)] = trace.components[f"V_{i}_{j}"]
         you[i] = trace.components[f"U_{i}"]
 
+    members = family.members
     cond1 = all(
-        vee[(i, j)] == intersect(family.members[i - 1], family.members[j - 1])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
+        v.dim == meet_dim(members[i - 1], members[j - 1])
+        and is_subspace_of(v, members[i - 1])
+        and is_subspace_of(v, members[j - 1])
+        for (i, j), v in vee.items()
     )
 
     cond2 = True
@@ -317,17 +322,13 @@ def derive_max_components(family: SubspaceFamily) -> ConstructionTrace:
     :func:`check_max_conditions` hold by construction whenever the dimensions
     allow; condition 3 then decides whether the family attains n*k.
     """
-    report = analyze(family)
-    if not report.is_scid:
+    k, pairs = _pairwise_intersections(family)
+    meet_dims = {s.dim for s in pairs.values()}
+    if len(meet_dims) != 1:
         raise PreconditionViolated("component derivation needs constant intersection dimension")
-    n, k, t = report.n, report.k, report.t
-    comp: dict[str, Subspace] = {}
-    inters: dict[tuple[int, int], Subspace] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            s = intersect(family.members[i - 1], family.members[j - 1])
-            inters[(i, j)] = s
-            comp[f"V_{i}_{j}"] = s
+    n, t = family.n, k - meet_dims.pop()
+    inters = {(i + 1, j + 1): s for (i, j), s in pairs.items()}
+    comp: dict[str, Subspace] = {f"V_{i}_{j}": s for (i, j), s in inters.items()}
     for i in range(1, n + 1):
         rows = []
         for j in range(1, n + 1):

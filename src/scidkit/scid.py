@@ -16,7 +16,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gf import FieldMismatch, FieldSpec
-from .linalg import AmbientMismatch, Subspace, intersect, meet_dim, rref, zero_subspace
+from .linalg import (
+    AmbientMismatch,
+    Echelon,
+    Subspace,
+    intersect,
+    is_subspace_of,
+    meet_dim,
+    rref,
+    zero_subspace,
+)
 
 
 class MixedMemberDimensions(ValueError):
@@ -143,6 +152,57 @@ class ScidReport:
         }
 
 
+def _pairwise_intersections(family: SubspaceFamily) -> tuple[int, dict[tuple[int, int], Subspace]]:
+    """The member dimension k and the intersection of every pair i < j, keyed (i, j).
+
+    Takes the core route of :func:`analyze`'s proof when the intersection of
+    the first two members is a nonzero subspace of every later member, and
+    otherwise intersects every other pair by Zassenhaus as well.
+    Raises MixedMemberDimensions on unequal member dimensions and
+    TooFewMembers below two members.
+    """
+    n = family.n
+    if n < 2:
+        raise TooFewMembers(f"analysis needs n >= 2 members, got {n}")
+    dims = {m.dim for m in family.members}
+    if len(dims) != 1:
+        raise MixedMemberDimensions(f"member dimensions {sorted(dims)} are not constant")
+    k = dims.pop()
+    members = family.members
+    pairs = list(combinations(range(n), 2))
+    core = intersect(members[0], members[1])
+    if n == 2 or not core.dim or not all(is_subspace_of(core, m) for m in members[2:]):
+        rest = {(i, j): intersect(members[i], members[j]) for i, j in pairs[1:]}
+        return k, {(0, 1): core, **rest}
+
+    field, d = family.field, family.ambient_dim
+    core_pivots = {r.index(1) for r in core.basis}
+    free = [c for c in range(d) if c not in core_pivots]
+    images = [
+        Subspace(field, len(free), tuple(
+            tuple(r[c] for c in free) for r in m.basis if r.index(1) not in core_pivots
+        ))
+        for m in members
+    ]
+    held = [Echelon.of(q) for q in images]
+
+    def lift(y):
+        v = [0] * d
+        for c, x in zip(free, y):
+            v[c] = x
+        return v
+
+    inter = {}
+    for i, j in pairs:
+        ech = held[i].copy()
+        if all(ech.insert(r) for r in images[j].basis):
+            inter[(i, j)] = core
+        else:
+            lifts = [lift(y) for y in intersect(images[i], images[j]).basis]
+            inter[(i, j)] = rref(field, d, list(core.basis) + lifts)
+    return k, inter
+
+
 def analyze(family: SubspaceFamily) -> ScidReport:
     """Measure a family's intersection structure from scratch.
 
@@ -152,19 +212,55 @@ def analyze(family: SubspaceFamily) -> ScidReport:
     the family is a sunflower exactly when there is one distinct
     intersection.  Raises MixedMemberDimensions on unequal member
     dimensions and TooFewMembers below two members.
-    """
-    n = family.n
-    if n < 2:
-        raise TooFewMembers(f"analysis needs n >= 2 members, got {n}")
-    dims = {m.dim for m in family.members}
-    if len(dims) != 1:
-        raise MixedMemberDimensions(f"member dimensions {sorted(dims)} are not constant")
-    k = dims.pop()
-    field, d = family.field, family.ambient_dim
 
-    inter: dict[tuple[int, int], Subspace] = {}
-    for i, j in combinations(range(n), 2):
-        inter[(i, j)] = intersect(family.members[i], family.members[j])
+    The pairwise intersections come from one of two routes, chosen by the
+    input.  Let C = pi_1 ∩ pi_2.  When n >= 3, dim C > 0 and C lies in every
+    later member, the pairs are intersected modulo C, which gives the same
+    subspaces as intersecting every pair by Zassenhaus:
+
+    * C is the common core.  C ⊆ pi_m for every m, so C lies in every
+      pairwise intersection and in their intersection ∩ pi_m, and
+      ∩ pi_m ⊆ pi_1 ∩ pi_2 = C.
+    * The quotient map.  Let P be the pivot columns of C's canonical basis
+      and F the other columns.  phi(v) is v's residual against C's rows,
+      restricted to F.  Each canonical row c_p of C vanishes on the other
+      pivots, so the residual is v - sum over p in P of v_p c_p: it is
+      linear in v, lies in v + C and vanishes on P.  phi(v) = 0 therefore
+      makes the whole residual 0 and v lie in C, and v in C has residual 0,
+      so ker phi = C exactly.  Q_i = phi(pi_i) has dimension k - dim C,
+      since C ⊆ pi_i.
+    * Q_i's canonical basis is read off pi_i's.  The pivots of a subspace's
+      canonical basis are the leading positions of its nonzero vectors, so
+      C ⊆ pi_i puts P among pi_i's pivots, and k - dim C of pi_i's rows
+      have their pivot in F.  Those rows vanish on P, the other pivots, so
+      phi maps each to its restriction to F, which keeps its leading one and
+      stays zero on the other rows' pivots.  The restrictions are therefore
+      canonical rows, k - dim C independent vectors of Q_i: its basis.
+    * The lift.  lambda(y) writes y into the columns F, with zeros on P.  It
+      vanishes on P, so phi(lambda(y)) = y.  For y in Q_i pick v in pi_i
+      with phi(v) = y; then lambda(y) - v lies in ker phi = C ⊆ pi_i, so
+      lambda(y) lies in pi_i.
+    * Correspondence.  pi_i ∩ pi_j = C + lambda(Q_i ∩ Q_j).  The lift puts
+      lambda(Q_i ∩ Q_j) in both members.  Conversely, v in pi_i ∩ pi_j has
+      phi(v) in Q_i ∩ Q_j, and v - lambda(phi(v)) lies in ker phi = C.
+      lambda(y) in C forces y = phi(lambda(y)) = 0, so the sum is direct and
+      dim(pi_i ∩ pi_j) = dim C + dim(Q_i ∩ Q_j).
+    * Each pair is first tested by rank: Q_i ∩ Q_j = 0 exactly when each of
+      Q_j's k - dim C rows raises the rank of Q_i's accumulator, and then
+      the intersection is C, recorded as the very Subspace C.  Otherwise it
+      is the canonical basis of C's rows and the lifts of a basis of
+      Q_i ∩ Q_j.
+
+    Every intersection is a canonical Subspace equal to the Zassenhaus one,
+    so the table (their dimensions), the distinct intersections, I (the RREF
+    of the span of the same subspaces), the center (the one distinct
+    intersection, if there is one) and S (from the members alone) come out
+    unchanged.  In every other case, including C = 0 and n = 2, each pair
+    is intersected by Zassenhaus and the first pair's C is reused.
+    """
+    k, inter = _pairwise_intersections(family)
+    n = family.n
+    field, d = family.field, family.ambient_dim
 
     table = [[k] * n for _ in range(n)]
     for (i, j), sub in inter.items():

@@ -121,6 +121,28 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2 and "unreadable" in err
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "unreadable" in err and "Traceback" not in err
+
+
+def test_stored_values_nested_to_the_recursion_limit_never_escape(capsys, monkeypatch):
+    """A stored report deep enough to load but not to print back exits 2, not with a traceback."""
+    _, out, _ = run_cli(capsys, "construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "2")
+    head = out.strip()[:-1].replace('"report":', '"stale":')
+    limit = sys.getrecursionlimit()
+    codes = set()
+    for depth in range(limit - 150, limit + 1):
+        nested = "[" * depth + "]" * depth
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f'{head},"report":{nested}}}'))
+        code, out, _ = run_cli(capsys, "verify", "-")
+        assert (code, bool(out)) in {(1, True), (2, False)}, depth
+        codes.add(code)
+    assert codes == {1, 2}
+
+
 def test_unrecognized_shape_exits_2(capsys, tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"foo": 1}')
@@ -342,19 +364,44 @@ def test_each_pair_is_intersected_once(capsys, monkeypatch):
 
     for module in (linalg, scid, construct, search):
         monkeypatch.setattr(module, "intersect", counted)
+    # a sunflower's first pair gives its center, and the rest meet only there modulo it
     code, cert, _ = run_cli(
         capsys, "construct", "sunflower", "--n", "20", "--k", "4", "--t", "2", "--q", "2",
         "--eta", "17", "--check",
     )
-    assert code == 0 and len(calls) == 190
+    assert code == 0 and len(calls) == 1
     calls.clear()
     monkeypatch.setattr(sys, "stdin", io.StringIO(cert))
     code, out, _ = run_cli(capsys, "verify", "-")
-    assert code == 0 and json.loads(out)["ok"] is True and len(calls) == 190
-    # the random search rejects by rank; only analyze of a completed family intersects
+    assert code == 0 and json.loads(out)["ok"] is True and len(calls) == 1
+    # no common core: analyze intersects each of the 15 pairs, condition 1 none
     calls.clear()
+    code, _, _ = run_cli(
+        capsys, "construct", "max", "--n", "6", "--k", "5", "--t", "4", "--q", "2", "--check",
+    )
+    assert code == 0 and len(calls) == 15
+    calls.clear()
+    family, _ = construct.construct_max(6, 5, 4, field_from_order(2))
+    construct.derive_max_components(family)
+    assert len(calls) == 21  # 15 pairs and one per member for U_i
+    # the random search rejects by rank; only analyze of a completed family intersects,
+    # once for a sunflower and once per pair otherwise
+    calls.clear()
+    per_family = []
+    real_analyze = search.analyze
+
+    def wrapped(family):
+        before = len(calls)
+        report = real_analyze(family)
+        per_family.append((len(calls) - before, report.sunflower_center is not None))
+        return report
+
+    monkeypatch.setattr(search, "analyze", wrapped)
     res = search.random_scid_search(3, 2, 1, field_from_order(3), 4, seed=5, iterations=10)
-    assert res.explored > 0 and len(calls) == res.explored * 3
+    assert res.explored == len(per_family)
+    assert {sunflower for _, sunflower in per_family} == {True, False}
+    assert all(made == (1 if sunflower else 3) for made, sunflower in per_family)
+    assert len(calls) == sum(made for made, _ in per_family)
 
 
 def test_parser_is_built_once():

@@ -105,10 +105,13 @@ def test_derived_components_expose_submaximal_family():
 
 def test_conditions_catch_tampered_trace():
     fam, trace = construct_max(3, 2, 1, F2)
-    bad = dict(trace.components)
-    bad["V_1_2"] = coordinate_subspace(F2, fam.ambient_dim, [2])
-    tampered = type(trace)(trace.kind, trace.parameters, bad)
-    assert not check_max_conditions(fam, tampered)["pairwise_intersections"]
+    # members 1 and 2 are <e_0, e_1> and <e_0, e_2>, so V_1_2 = <e_0>; replace it by a
+    # line of member 2 only, a line of member 1 only, and a subspace of both too small
+    for coords in ([2], [1], []):
+        bad = dict(trace.components)
+        bad["V_1_2"] = coordinate_subspace(F2, fam.ambient_dim, coords)
+        tampered = type(trace)(trace.kind, trace.parameters, bad)
+        assert not check_max_conditions(fam, tampered)["pairwise_intersections"], coords
 
 
 @pytest.mark.parametrize("n,k,t", [(3, 2, 1), (3, 3, 2), (4, 4, 3)])

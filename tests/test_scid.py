@@ -238,6 +238,20 @@ def _random_family(rng, field, d, k, n):
     return SubspaceFamily.from_members(list(members.values()))
 
 
+def _through_vector(rng, field, d, k, n):
+    """n distinct random k-spaces of F_q^d that all contain one random nonzero vector."""
+    v = [0] * d
+    while not any(v):
+        v = [rng.randrange(field.order) for _ in range(d)]
+    members = {}
+    while len(members) < n:
+        rows = [[rng.randrange(field.order) for _ in range(d)] for _ in range(k - 1)]
+        s = rref(field, d, rows + [v])
+        if s.dim == k:
+            members.setdefault(s.basis, s)
+    return SubspaceFamily.from_members(list(members.values()))
+
+
 def _families(q):
     field = field_from_order(q)
     rng = random.Random(q)
@@ -251,6 +265,17 @@ def _families(q):
     out.append(construct_spectrum2(5, 4, 3, field, 3, 1)[0])  # repeated glued blocks
     out.append(construct_sunflower(5, 3, 2, field, 3, 1)[0])
     out.append(construct_sunflower(6, 2, 1, field, 3, 0)[0])
+    out.append(construct_sunflower(6, 4, 3, field, 4, 2)[0])
+    out.append(_random_family(rng, field, 5, 3, 2))
+    # mostly a common core (the vector) with some pairs meeting beyond it
+    out.append(_through_vector(rng, field, 5, 3, 6))
+    coord_sets = (
+        ([0, 1, 2], [0, 3, 4], [0, 1, 3]),  # core e_0; later pairs meet beyond it
+        ([0, 1], [0, 2], [0, 3], [1, 3]),  # e_0 lies in every member but the last
+        ([0, 1], [0, 2]),
+    )
+    for sets in coord_sets:
+        out.append(SubspaceFamily.from_members([coordinate_subspace(field, 5, cs) for cs in sets]))
     out.append(SubspaceFamily.from_members(
         [coordinate_subspace(field, 5, cs) for cs in ([0, 1], [0, 2], [0, 3], [1, 2], [3, 4])]
     ))  # repeated and distinct intersections, not SCID
