@@ -22,7 +22,6 @@ by name for re-verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .gf import FieldSpec, extension_field
@@ -33,9 +32,9 @@ from .linalg import (
     complement_within,
     coordinate_subspace,
     embed_subspace,
-    intersect,
     is_subspace_of,
     meet_dim,
+    meeting_pairs,
     rref,
 )
 from .scid import SubspaceFamily, _pairwise_intersections
@@ -335,7 +334,6 @@ def derive_max_components(family: SubspaceFamily) -> ConstructionTrace:
             if j != i:
                 rows += list(inters[(min(i, j), max(i, j))].basis)
         inner = rref(family.field, family.ambient_dim, rows)
-        inner = intersect(inner, family.members[i - 1])
         comp[f"U_{i}"] = complement_within(inner, family.members[i - 1])
     return ConstructionTrace(
         kind="max",
@@ -554,9 +552,8 @@ def lift_spread_to_sunflower(spread: SubspaceFamily, center_dim: int) -> Subspac
     dims = {s.dim for s in spread.members}
     if len(dims) != 1:
         raise NotASpread(f"member dimensions {sorted(dims)} are not constant")
-    for a, b in combinations(spread.members, 2):
-        if meet_dim(a, b) != 0:
-            raise NotASpread("members must intersect pairwise trivially")
+    if meeting_pairs(spread.members):
+        raise NotASpread("members must intersect pairwise trivially")
     ech = Echelon(spread.field, spread.ambient_dim)
     for s in spread.members:
         for r in s.basis:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .gf import FieldMismatch, FieldSpec
@@ -273,6 +273,83 @@ def meet_dim(a: Subspace, b: Subspace) -> int:
     _check_peers(a, b)
     ech = Echelon.of(a)
     return b.dim - sum(ech.insert(r) for r in b.basis)
+
+
+def _projective_points(s: Subspace) -> Iterator[tuple[int, ...]]:
+    """Each 1-space of s once, by its vector whose first nonzero entry is 1.
+
+    Row i of the canonical basis contributes b_i + sum over j > i of c_j b_j
+    for every c in F_q^(dim - 1 - i).  Rows after i vanish at b_i's pivot
+    and every column before it, so that entry is the vector's leading 1.
+    """
+    field, basis = s.field, s.basis
+    for i, row in enumerate(basis):
+        for coeffs in product(field.elements(), repeat=len(basis) - 1 - i):
+            v = row
+            for c, b in zip(coeffs, basis[i + 1 :]):
+                if c:
+                    v = field.sub_multiple(v, field.neg(c), b)
+            yield tuple(v)
+
+
+def _meeting_pairs_by_points(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
+    seen: dict[tuple[int, ...], list[int]] = {}
+    pairs = set()
+    for j, s in enumerate(spaces):
+        for point in _projective_points(s):
+            owners = seen.setdefault(point, [])
+            pairs.update((i, j) for i in owners)
+            owners.append(j)
+    return pairs
+
+
+def _meeting_pairs_by_rank(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
+    held = [Echelon.of(s) for s in spaces]
+    pairs = set()
+    for i, j in combinations(range(len(spaces)), 2):
+        ech = held[i].copy()
+        if not all(ech.insert(r) for r in spaces[j].basis):
+            pairs.add((i, j))
+    return pairs
+
+
+def meeting_pairs(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
+    """The pairs i < j of spaces that share a nonzero vector.
+
+    Two routes give this set; the input's own sizes pick the cheaper one.
+
+    * Points.  Every nonzero v in s is a multiple of exactly one vector
+      with leading entry 1, v divided by its first nonzero entry, and that
+      vector lies in s.  So two spaces meet exactly when they share such a
+      normalized vector, a projective point.  Write a normalized v of s in
+      the canonical basis as sum a_j b_j and let i be the least j with
+      a_j != 0.  The rows from i on vanish before b_i's pivot and only b_i
+      is nonzero there, so v's leading entry is a_i = 1 at that pivot, and
+      v is the vector :func:`_projective_points` lists for row i and
+      c_j = a_j.  Coordinates in a basis are unique, so it is listed once.
+      A dict from point to the spaces listed so far then yields (i, j) for
+      every j that lists a point some earlier i listed, and no other pair.
+    * Rank.  The spaces a and b meet exactly when rank [a; b] <
+      dim a + dim b.  b's rows are independent, so that is exactly when one
+      of them fails to raise the rank of a copy of a's accumulator.
+
+    The point route lists the sum of theta(dim s) = (q^dim - 1)/(q - 1)
+    vectors; the rank route inserts each space's rows once per earlier
+    space.  The point route is taken exactly when the first count is not
+    larger, so a large field or dimension, where theta is huge, stays on the
+    rank route.  Both return the same set.
+    """
+    spaces = list(spaces)
+    if not spaces:
+        return set()
+    for s in spaces[1:]:
+        _check_peers(spaces[0], s)
+    q = spaces[0].field.order
+    points = sum((q**s.dim - 1) // (q - 1) for s in spaces)
+    inserts = sum(j * s.dim for j, s in enumerate(spaces))
+    if points <= inserts:
+        return _meeting_pairs_by_points(spaces)
+    return _meeting_pairs_by_rank(spaces)
 
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:

@@ -18,11 +18,11 @@ from itertools import combinations
 from .gf import FieldMismatch, FieldSpec
 from .linalg import (
     AmbientMismatch,
-    Echelon,
     Subspace,
     intersect,
     is_subspace_of,
     meet_dim,
+    meeting_pairs,
     rref,
     zero_subspace,
 )
@@ -184,7 +184,6 @@ def _pairwise_intersections(family: SubspaceFamily) -> tuple[int, dict[tuple[int
         ))
         for m in members
     ]
-    held = [Echelon.of(q) for q in images]
 
     def lift(y):
         v = [0] * d
@@ -192,10 +191,10 @@ def _pairwise_intersections(family: SubspaceFamily) -> tuple[int, dict[tuple[int
             v[c] = x
         return v
 
+    met = meeting_pairs(images)
     inter = {}
     for i, j in pairs:
-        ech = held[i].copy()
-        if all(ech.insert(r) for r in images[j].basis):
+        if (i, j) not in met:
             inter[(i, j)] = core
         else:
             lifts = [lift(y) for y in intersect(images[i], images[j]).basis]
@@ -245,11 +244,11 @@ def analyze(family: SubspaceFamily) -> ScidReport:
       phi(v) in Q_i ∩ Q_j, and v - lambda(phi(v)) lies in ker phi = C.
       lambda(y) in C forces y = phi(lambda(y)) = 0, so the sum is direct and
       dim(pi_i ∩ pi_j) = dim C + dim(Q_i ∩ Q_j).
-    * Each pair is first tested by rank: Q_i ∩ Q_j = 0 exactly when each of
-      Q_j's k - dim C rows raises the rank of Q_i's accumulator, and then
-      the intersection is C, recorded as the very Subspace C.  Otherwise it
-      is the canonical basis of C's rows and the lifts of a basis of
-      Q_i ∩ Q_j.
+    * :func:`~scidkit.linalg.meeting_pairs` finds the pairs with
+      Q_i ∩ Q_j != 0, by shared projective points or by rank, whichever
+      touches fewer vectors.  Every other pair's intersection is C,
+      recorded as the very Subspace C.  A pair that meets gets the
+      canonical basis of C's rows and the lifts of a basis of Q_i ∩ Q_j.
 
     Every intersection is a canonical Subspace equal to the Zassenhaus one,
     so the table (their dimensions), the distinct intersections, I (the RREF

@@ -193,6 +193,56 @@ def test_verify_bare_family_not_scid_exits_1(capsys, tmp_path):
     assert json.loads(out)["report"]["is_scid"] is False
 
 
+def test_core_route_over_a_large_field_tests_pairs_by_rank(capsys, monkeypatch, tmp_path):
+    """Over F_1000003 each image in V/C has about 10^12 points, so the rank route runs."""
+    p = 1000003
+
+    def e(i, c=1):
+        return [c if j == i else 0 for j in range(8)]
+
+    def plus(u, v):
+        return [(x + y) % p for x, y in zip(u, v)]
+
+    core = [1, 0, 0, 0, 0, 0, 0, p - 1]
+    bases = [
+        [core, e(1), e(2), e(3)],
+        [core, e(4), e(5), e(6)],
+        [core, plus(e(1), e(4)), plus(e(2), e(5, 123456)), plus(e(3), e(6))],
+    ]
+    family = {
+        "field": {"p": p, "tower": []},
+        "ambient": 8,
+        "members": [{"ambient": 8, "basis": b} for b in bases],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    src = str(Path(scidkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from scidkit.cli import main; sys.exit(main())",
+         "verify", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    center = {"ambient": 8, "basis": [core]}
+    assert report["pairwise_dims"] == [[4, 1, 1], [1, 4, 1], [1, 1, 4]]
+    assert (report["is_scid"], report["t"], report["sum"]) == (True, 3, 8)
+    assert report["sunflower_center"] == report["I"] == center
+    assert report["S"]["basis"] == [core] + [e(i) for i in range(1, 7)]
+
+    listed = []
+    real = linalg._projective_points
+
+    def counted(s):
+        listed.append(s)
+        return real(s)
+
+    monkeypatch.setattr(linalg, "_projective_points", counted)
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert (code, out, listed) == (0, proc.stdout, [])
+
+
 def test_precondition_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "construct", "max", "--n", "4", "--k", "2", "--t", "1", "--q", "2")
     assert code == 2
@@ -362,8 +412,9 @@ def test_each_pair_is_intersected_once(capsys, monkeypatch):
         calls.append(1)
         return real(a, b)
 
+    # construct no longer imports intersect; raising=False counts it again if it ever does
     for module in (linalg, scid, construct, search):
-        monkeypatch.setattr(module, "intersect", counted)
+        monkeypatch.setattr(module, "intersect", counted, raising=False)
     # a sunflower's first pair gives its center, and the rest meet only there modulo it
     code, cert, _ = run_cli(
         capsys, "construct", "sunflower", "--n", "20", "--k", "4", "--t", "2", "--q", "2",
@@ -383,7 +434,7 @@ def test_each_pair_is_intersected_once(capsys, monkeypatch):
     calls.clear()
     family, _ = construct.construct_max(6, 5, 4, field_from_order(2))
     construct.derive_max_components(family)
-    assert len(calls) == 21  # 15 pairs and one per member for U_i
+    assert len(calls) == 15  # the pairs; each U_i's span of V_ij already lies in member i
     # the random search rejects by rank; only analyze of a completed family intersects,
     # once for a sunflower and once per pair otherwise
     calls.clear()
@@ -402,6 +453,33 @@ def test_each_pair_is_intersected_once(capsys, monkeypatch):
     assert {sunflower for _, sunflower in per_family} == {True, False}
     assert all(made == (1 if sunflower else 3) for made, sunflower in per_family)
     assert len(calls) == sum(made for made, _ in per_family)
+
+
+def test_sunflower_pairs_are_found_by_shared_points(capsys, monkeypatch):
+    """No pair of a sunflower is rank-tested: meeting_pairs lists points instead."""
+    meets, copies = [], []
+    real_meet, real_copy = linalg.meet_dim, linalg.Echelon.copy
+
+    def counted_meet(a, b):
+        meets.append(1)
+        return real_meet(a, b)
+
+    def counted_copy(self):
+        copies.append(1)
+        return real_copy(self)
+
+    for module in (linalg, scid, construct, search):
+        monkeypatch.setattr(module, "meet_dim", counted_meet)
+    monkeypatch.setattr(linalg.Echelon, "copy", counted_copy)
+    # both the spread precondition of the lift and analyze's pairs in V/C list points
+    code, cert, _ = run_cli(
+        capsys, "construct", "sunflower", "--n", "20", "--k", "4", "--t", "2", "--q", "2",
+        "--eta", "17", "--check",
+    )
+    assert code == 0 and (len(meets), len(copies)) == (0, 0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cert))
+    code, out, _ = run_cli(capsys, "verify", "-")
+    assert code == 0 and json.loads(out)["ok"] is True and len(copies) == 0
 
 
 def test_parser_is_built_once():

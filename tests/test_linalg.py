@@ -1,9 +1,11 @@
 """Subspace arithmetic: canonical form, Zassenhaus, quotients, batteries."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from scidkit import linalg
 from scidkit.gf import FieldMismatch, field_from_order
 from scidkit.linalg import (
     AmbientMismatch,
@@ -17,7 +19,11 @@ from scidkit.linalg import (
     full_subspace,
     intersect,
     is_subspace_of,
+    _meeting_pairs_by_points,
+    _meeting_pairs_by_rank,
+    _projective_points,
     meet_dim,
+    meeting_pairs,
     quotient_map,
     random_subspace,
     rref,
@@ -189,6 +195,120 @@ def test_meet_dim_peer_checks_match_intersect():
         for fn in (intersect, meet_dim):
             with pytest.raises(error):
                 fn(x, y)
+
+
+MEETING_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def _theta(q, m):
+    return (q**m - 1) // (q - 1)
+
+
+def _meeting_families(field, rng):
+    """Random families with 0-dim and full members, partial spreads, planted shared points."""
+    top = 6 if field.order <= 3 else 4
+    families = []
+    for _ in range(8):
+        d = rng.randrange(1, top + 1)
+        members = [
+            rref(field, d, _random_rows(rng, field, rng.randrange(d + 1), d))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        members += rng.sample([zero_subspace(field, d), full_subspace(field, d)], rng.randrange(3))
+        rng.shuffle(members)
+        families.append(members)
+    for m in (1, 2):
+        spread = []
+        for _ in range(30):
+            s = random_subspace(2 * m, m, field, rng.randrange(10**9))
+            if all(meet_dim(s, x) == 0 for x in spread):
+                spread.append(s)
+        families.append(spread)
+    for _ in range(6):
+        d = rng.randrange(2, top + 1)
+        v = [0] * d
+        while not any(v):
+            v = _random_rows(rng, field, 1, d)[0]
+        families.append([
+            rref(field, d, _random_rows(rng, field, rng.randrange(d), d) + [v] * rng.randrange(2))
+            for _ in range(rng.randrange(2, 6))
+        ])
+    return families
+
+
+@pytest.mark.parametrize("q", MEETING_QS)
+def test_meeting_pairs_match_pairwise_meet_dim(q):
+    field = field_from_order(q)
+    families = _meeting_families(field, random.Random(100 + q))
+    sizes = set()
+    for spaces in families:
+        want = {
+            (i, j)
+            for i, j in combinations(range(len(spaces)), 2)
+            if meet_dim(spaces[i], spaces[j]) > 0
+        }
+        assert _meeting_pairs_by_points(spaces) == want, (q, spaces)
+        assert _meeting_pairs_by_rank(spaces) == want, (q, spaces)
+        assert meeting_pairs(spaces) == want, (q, spaces)
+        sizes.add(min(len(want), 1))
+    assert sizes == {0, 1}  # some families meet nowhere, some somewhere
+    assert meeting_pairs([]) == set()
+
+
+@pytest.mark.parametrize("q", MEETING_QS)
+def test_projective_points_list_each_point_once(q):
+    field = field_from_order(q)
+    rng = random.Random(200 + q)
+    for d in range(0, 4):
+        spaces = [zero_subspace(field, d), full_subspace(field, d)]
+        spaces += [rref(field, d, _random_rows(rng, field, rng.randrange(d + 1), d)) for _ in range(4)]
+        for s in spaces:
+            points = list(_projective_points(s))
+            assert len(points) == len(set(points)) == _theta(q, s.dim), (q, s)
+            for v in points:
+                assert next(x for x in v if x) == 1 and s.contains_vector(v), (q, s, v)
+
+
+@pytest.mark.parametrize(
+    "q, dims, route",
+    [
+        # point route exactly when sum theta(dim) <= sum over j of j * dim_j
+        (2, (1, 1), "rank"),
+        (2, (1, 1, 1), "points"),  # 3 <= 3
+        (4, (1, 1, 1), "points"),
+        (2, (2, 2, 2), "rank"),  # 9 > 6
+        (2, (2, 2, 2, 2), "points"),  # 12 <= 12
+        (3, (2, 2, 2, 2), "rank"),  # 16 > 12
+        (3, (2, 2, 2, 2, 2), "points"),  # 20 <= 20
+        (2, (3,) * 5, "rank"),  # 35 > 30
+        (2, (3,) * 6, "points"),  # 42 <= 45
+        (2, (0, 0, 0), "points"),  # 0 <= 0
+        (2, (0, 2, 2), "points"),  # 6 <= 6
+        (2, (2, 2, 0), "rank"),  # 6 > 2
+    ],
+)
+def test_meeting_pairs_route_follows_the_work_counts(monkeypatch, q, dims, route):
+    field = field_from_order(q)
+    taken = []
+    for name, label in (("_meeting_pairs_by_points", "points"), ("_meeting_pairs_by_rank", "rank")):
+        real = getattr(linalg, name)
+
+        def spy(spaces, real=real, label=label):
+            taken.append(label)
+            return real(spaces)
+
+        monkeypatch.setattr(linalg, name, spy)
+    spaces = [random_subspace(4, m, field, seed) for seed, m in enumerate(dims)]
+    want = {(i, j) for i, j in combinations(range(len(dims)), 2) if meet_dim(spaces[i], spaces[j])}
+    assert meeting_pairs(spaces) == want
+    assert taken == [route]
+
+
+def test_meeting_pairs_peer_checks():
+    with pytest.raises(AmbientMismatch):
+        meeting_pairs([zero_subspace(F2, 3), zero_subspace(F2, 4)])
+    with pytest.raises(FieldMismatch):
+        meeting_pairs([full_subspace(F2, 2), full_subspace(F3, 2)])
 
 
 def test_peer_checks():
