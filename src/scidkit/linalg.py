@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -162,6 +163,15 @@ class Subspace:
                 raise AmbientMismatch(
                     f"basis row of length {len(r)} in ambient dimension {self.ambient_dim}"
                 )
+
+    # Cached, as analyze meets a sunflower's one intersection once per pair.
+    # Ints only, so a value cached before pickling holds in another process.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -383,76 +393,75 @@ def complement_within(a: Subspace, b: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul(field: FieldSpec, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    add, mul = field.add, field.mul
-    cols = len(b[0]) if b else 0
-    out = []
-    for ra in a:
-        row = [0] * cols
-        for x, rb in zip(ra, b):
-            if x:
-                row = [add(row[j], mul(x, rb[j])) for j in range(cols)]
-        out.append(row)
-    return out
-
-
 @dataclass(frozen=True)
 class QuotientMap:
-    """Linear projection of `total` onto F_q^(dim total - dim center).
+    """The quotient map phi: F_q^d -> F_q^d / C, written into F_q^(d - dim C).
 
-    The kernel is exactly `center`; `matrix` maps ambient row vectors to the
-    quotient by right multiplication, and `section` embeds quotient vectors
-    back into `total`, splitting the projection.
+    Let P be the pivot columns of C's canonical basis and F, `free`, the
+    other columns; the target's coordinates are the columns F in order.
+
+    * The map.  phi(v) is v's residual against C's rows, restricted to F.
+      Each canonical row c_p of C vanishes on the other pivots, so the
+      residual is v - sum over p in P of v_p c_p: it is linear in v, lies in
+      v + C and vanishes on P.  phi(v) = 0 therefore makes the whole
+      residual 0 and v lie in C, and v in C has residual 0, so ker phi = C
+      exactly.
+    * The read-off.  For C ⊆ x, phi(x)'s canonical basis is read off x's.
+      The pivots of a subspace's canonical basis are the leading positions
+      of its nonzero vectors, so C ⊆ x puts P among x's pivots, and
+      dim x - dim C of x's rows have their pivot in F.  Those rows vanish on
+      P, the other pivots, so phi maps each to its restriction to F, which
+      keeps its leading one and stays zero on the other rows' pivots.  The
+      restrictions are therefore canonical rows, dim x - dim C independent
+      vectors of phi(x), whose dimension is dim x - dim C as ker phi = C ⊆ x:
+      its basis.  No elimination is needed.
+    * The lift.  lambda(y) writes y into the columns F, with zeros on P.  It
+      vanishes on P, so phi(lambda(y)) = y.  The preimage of Y is therefore
+      C + lambda(Y): v with phi(v) in Y has v - lambda(phi(v)) in ker phi = C.
+      lambda(y) in C forces y = phi(lambda(y)) = 0, so the sum is direct.
+      For C ⊆ x the preimage of phi(x) is x + C = x.
+
+    Nothing here builds a basis of the whole space, so the cost stays linear
+    in d for a small C and x.
     """
 
-    total: Subspace
     center: Subspace
-    matrix: tuple[tuple[int, ...], ...]
-    section: tuple[tuple[int, ...], ...]
+    free: tuple[int, ...]
 
     @property
     def target_dim(self) -> int:
-        return self.total.dim - self.center.dim
+        return len(self.free)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(_mat_mul(self.total.field, [vec], self.matrix)[0])
+        v = Echelon.of(self.center).reduce(vec)
+        return tuple(v[c] for c in self.free)
 
     def map_subspace(self, x: Subspace) -> Subspace:
-        if not is_subspace_of(x, self.total):
-            raise NotNested("subspace is not contained in the quotient's total space")
-        return rref(self.total.field, self.target_dim, [self.apply(r) for r in x.basis])
+        """phi(x), read off x's canonical basis; raises NotNested unless C ⊆ x."""
+        if not is_subspace_of(self.center, x):
+            raise NotNested("subspace does not contain the quotient's center")
+        pivots = {r.index(1) for r in self.center.basis}
+        rows = tuple(tuple(r[c] for c in self.free) for r in x.basis if r.index(1) not in pivots)
+        return Subspace(x.field, self.target_dim, rows)
 
     def preimage(self, y: Subspace) -> Subspace:
+        """C + lambda(y), the subspace of F_q^d that phi maps onto y."""
         if y.ambient_dim != self.target_dim:
             raise AmbientMismatch(f"ambient {y.ambient_dim} vs target {self.target_dim}")
-        field = self.total.field
-        lifted = _mat_mul(field, y.basis, self.section)
-        return rref(field, self.total.ambient_dim, list(self.center.basis) + lifted)
+        d = self.center.ambient_dim
+        lifts = []
+        for row in y.basis:
+            v = [0] * d
+            for c, x in zip(self.free, row):
+                v[c] = x
+            lifts.append(v)
+        return rref(self.center.field, d, [*self.center.basis, *lifts])
 
 
-def quotient_map(s: Subspace, c: Subspace) -> QuotientMap:
-    """The projection of s with kernel exactly c, built deterministically.
-
-    The complement of c inside s and the extension of s to the full ambient
-    space are both chosen by the greedy rule of :func:`complement_within`, so
-    equal inputs give bit-identical maps.
-    """
-    _check_peers(s, c)
-    if not is_subspace_of(c, s):
-        raise NotNested("center is not contained in the total space")
-    field = s.field
-    d = s.ambient_dim
-    comp = complement_within(c, s)
-    ext = complement_within(s, full_subspace(field, d))
-    # Row i of B^-1 expresses e_i in the basis B = c + comp + ext; the map
-    # keeps the comp coordinates, i.e. columns c.dim .. c.dim + comp.dim.
-    # B^-1 is the right half of the reduced [B | I].
-    ech = Echelon(field, 2 * d)
-    for i, row in enumerate(c.basis + comp.basis + ext.basis):
-        ech.insert(row + tuple(int(j == i) for j in range(d)))
-    lo = d + c.dim
-    matrix = tuple(r[lo : lo + comp.dim] for r in ech.reduced())
-    return QuotientMap(total=s, center=c, matrix=matrix, section=tuple(comp.basis))
+def quotient_map(c: Subspace) -> QuotientMap:
+    """The quotient map of F_q^d by c: c and its non-pivot columns."""
+    pivots = {r.index(1) for r in c.basis}
+    return QuotientMap(c, tuple(i for i in range(c.ambient_dim) if i not in pivots))
 
 
 # ---------------------------------------------------------------------------

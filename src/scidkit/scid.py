@@ -18,11 +18,12 @@ from itertools import combinations
 from .gf import FieldMismatch, FieldSpec
 from .linalg import (
     AmbientMismatch,
+    NotNested,
     Subspace,
     intersect,
-    is_subspace_of,
     meet_dim,
     meeting_pairs,
+    quotient_map,
     rref,
     zero_subspace,
 )
@@ -155,9 +156,9 @@ class ScidReport:
 def _pairwise_intersections(family: SubspaceFamily) -> tuple[int, dict[tuple[int, int], Subspace]]:
     """The member dimension k and the intersection of every pair i < j, keyed (i, j).
 
-    Takes the core route of :func:`analyze`'s proof when the intersection of
-    the first two members is a nonzero subspace of every later member, and
-    otherwise intersects every other pair by Zassenhaus as well.
+    Takes the core route of :func:`analyze` when the intersection of the
+    first two members is a nonzero subspace of every member, and otherwise
+    intersects every other pair by Zassenhaus as well.
     Raises MixedMemberDimensions on unequal member dimensions and
     TooFewMembers below two members.
     """
@@ -171,35 +172,20 @@ def _pairwise_intersections(family: SubspaceFamily) -> tuple[int, dict[tuple[int
     members = family.members
     pairs = list(combinations(range(n), 2))
     core = intersect(members[0], members[1])
-    if n == 2 or not core.dim or not all(is_subspace_of(core, m) for m in members[2:]):
-        rest = {(i, j): intersect(members[i], members[j]) for i, j in pairs[1:]}
-        return k, {(0, 1): core, **rest}
-
-    field, d = family.field, family.ambient_dim
-    core_pivots = {r.index(1) for r in core.basis}
-    free = [c for c in range(d) if c not in core_pivots]
-    images = [
-        Subspace(field, len(free), tuple(
-            tuple(r[c] for c in free) for r in m.basis if r.index(1) not in core_pivots
-        ))
-        for m in members
-    ]
-
-    def lift(y):
-        v = [0] * d
-        for c, x in zip(free, y):
-            v[c] = x
-        return v
-
-    met = meeting_pairs(images)
-    inter = {}
-    for i, j in pairs:
-        if (i, j) not in met:
-            inter[(i, j)] = core
+    if n > 2 and core.dim:
+        qm = quotient_map(core)
+        try:
+            images = [qm.map_subspace(m) for m in members]
+        except NotNested:
+            pass
         else:
-            lifts = [lift(y) for y in intersect(images[i], images[j]).basis]
-            inter[(i, j)] = rref(field, d, list(core.basis) + lifts)
-    return k, inter
+            met = meeting_pairs(images)
+            return k, {
+                (i, j): qm.preimage(intersect(images[i], images[j])) if (i, j) in met else core
+                for i, j in pairs
+            }
+    rest = {(i, j): intersect(members[i], members[j]) for i, j in pairs[1:]}
+    return k, {(0, 1): core, **rest}
 
 
 def analyze(family: SubspaceFamily) -> ScidReport:
@@ -220,30 +206,11 @@ def analyze(family: SubspaceFamily) -> ScidReport:
     * C is the common core.  C ⊆ pi_m for every m, so C lies in every
       pairwise intersection and in their intersection ∩ pi_m, and
       ∩ pi_m ⊆ pi_1 ∩ pi_2 = C.
-    * The quotient map.  Let P be the pivot columns of C's canonical basis
-      and F the other columns.  phi(v) is v's residual against C's rows,
-      restricted to F.  Each canonical row c_p of C vanishes on the other
-      pivots, so the residual is v - sum over p in P of v_p c_p: it is
-      linear in v, lies in v + C and vanishes on P.  phi(v) = 0 therefore
-      makes the whole residual 0 and v lie in C, and v in C has residual 0,
-      so ker phi = C exactly.  Q_i = phi(pi_i) has dimension k - dim C,
-      since C ⊆ pi_i.
-    * Q_i's canonical basis is read off pi_i's.  The pivots of a subspace's
-      canonical basis are the leading positions of its nonzero vectors, so
-      C ⊆ pi_i puts P among pi_i's pivots, and k - dim C of pi_i's rows
-      have their pivot in F.  Those rows vanish on P, the other pivots, so
-      phi maps each to its restriction to F, which keeps its leading one and
-      stays zero on the other rows' pivots.  The restrictions are therefore
-      canonical rows, k - dim C independent vectors of Q_i: its basis.
-    * The lift.  lambda(y) writes y into the columns F, with zeros on P.  It
-      vanishes on P, so phi(lambda(y)) = y.  For y in Q_i pick v in pi_i
-      with phi(v) = y; then lambda(y) - v lies in ker phi = C ⊆ pi_i, so
-      lambda(y) lies in pi_i.
-    * Correspondence.  pi_i ∩ pi_j = C + lambda(Q_i ∩ Q_j).  The lift puts
-      lambda(Q_i ∩ Q_j) in both members.  Conversely, v in pi_i ∩ pi_j has
-      phi(v) in Q_i ∩ Q_j, and v - lambda(phi(v)) lies in ker phi = C.
-      lambda(y) in C forces y = phi(lambda(y)) = 0, so the sum is direct and
-      dim(pi_i ∩ pi_j) = dim C + dim(Q_i ∩ Q_j).
+    * Correspondence.  Let phi be the quotient map by C and Q_i = phi(pi_i),
+      read off pi_i's basis (see :class:`~scidkit.linalg.QuotientMap`).
+      The preimage of Q_i is pi_i + C = pi_i, and preimages respect
+      intersections, so pi_i ∩ pi_j is the preimage C + lambda(Q_i ∩ Q_j)
+      of Q_i ∩ Q_j, of dimension dim C + dim(Q_i ∩ Q_j).
     * :func:`~scidkit.linalg.meeting_pairs` finds the pairs with
       Q_i ∩ Q_j != 0, by shared projective points or by rank, whichever
       touches fewer vectors.  Every other pair's intersection is C,
@@ -262,15 +229,19 @@ def analyze(family: SubspaceFamily) -> ScidReport:
     field, d = family.field, family.ambient_dim
 
     table = [[k] * n for _ in range(n)]
+    dims: dict[Subspace, int] = {}  # each distinct intersection and its dimension
     for (i, j), sub in inter.items():
-        table[i][j] = table[j][i] = sub.dim
-    off_diag = {sub.dim for sub in inter.values()}
+        dim = dims.get(sub)
+        if dim is None:
+            dim = dims[sub] = sub.dim
+        table[i][j] = table[j][i] = dim
+    off_diag = set(dims.values())
     is_scid = len(off_diag) == 1
     t = k - off_diag.pop() if is_scid else None
 
     s_rows = [r for m in family.members for r in m.basis]
     big_s = rref(field, d, s_rows)
-    distinct = list(dict.fromkeys(inter.values()))
+    distinct = list(dims)
     i_rows = [r for sub in distinct for r in sub.basis]
     big_i = rref(field, d, i_rows) if i_rows else zero_subspace(field, d)
     center = distinct[0] if len(distinct) == 1 else None

@@ -249,8 +249,9 @@ class _Tree:
 def _walk(payload):
     """DFS of a _Tree, over the third members at positions 2 + part, 2 + part + parts, ...
 
-    Returns (best_sum, best positions, nodes per depth, prunes by reason,
-    rank tests, intersect calls).
+    Returns (best_sum, best positions, nodes per depth below the root,
+    prunes by reason, rank tests, intersect calls); the caller counts the
+    root, which every part shares, once.
     """
     tree, part, parts = payload
     n, step, bound = tree.n, tree.step, tree.bound
@@ -263,7 +264,6 @@ def _walk(payload):
 
     def extend(m: int, cand: int, walk: int, s_ech: Echelon, i_ech: Echelon) -> None:
         nonlocal best_sum, best
-        nodes[m] += 1
         cur = s_ech.rank + i_ech.rank
         if m == n:
             if best_sum is None or cur > best_sum:
@@ -289,6 +289,7 @@ def _walk(payload):
                 for row in tree.meet(i, j):
                     i2.insert(row)
             chosen.append(j)
+            nodes[m + 1] += 1
             below = cand & tree.adj(j) if m + 1 < n else 0
             extend(m + 1, below, below, s2, i2)
             chosen.pop()
@@ -386,6 +387,7 @@ def max_sum_bruteforce(
         stats = SearchStats(nodes, prunes, 0, 0, 0, perf_counter() - start)
         return SearchResult(None, None, 0, True, stats)
     tree = _Tree(n, k, t, field, with_0)
+    nodes[2] = 1
     rank_tests, calls = tree.rank_tests, tree.intersect_calls
 
     parts = min(jobs, len(tree.members) - 2) if n > 2 else 1
@@ -431,11 +433,16 @@ def random_scid_search(
     Each iteration grows a family member by member from one random stream,
     rejecting candidates that break the intersection pattern, with a fixed
     retry budget.  explored counts completed families.  Never exhaustive.
+    With k > d there is no k-space to draw, and the result is empty.
     """
     if n < 2:
         raise BadDims(f"n must be >= 2, got {n}")
     if not 1 <= t <= k:
         raise BadDims(f"need 1 <= t <= k, got t={t}, k={k}")
+    if d < 0:
+        raise BadDims(f"ambient dimension must be >= 0, got {d}")
+    if k > d:
+        return SearchResult(None, None, 0, False)
     rng = Random(seed)
     best: int | None = None
     witness: SubspaceFamily | None = None

@@ -243,6 +243,35 @@ def test_core_route_over_a_large_field_tests_pairs_by_rank(capsys, monkeypatch, 
     assert (code, out, listed) == (0, proc.stdout, [])
 
 
+def test_core_route_stays_linear_in_a_huge_ambient_space(tmp_path):
+    """A 1-dim core in F_2^20000: a basis of the whole space would hold 4 * 10^8 entries."""
+    d = 20000
+
+    def e(*cols):
+        return [int(j in cols) for j in range(d)]
+
+    core = e(0, d - 1)
+    family = {
+        "field": {"p": 2, "tower": []},
+        "ambient": d,
+        "members": [{"ambient": d, "basis": [core, e(i)]} for i in (1, 2, 3)],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    src = str(Path(scidkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from scidkit.cli import main; sys.exit(main())",
+         "verify", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["pairwise_dims"] == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    assert (report["is_scid"], report["t"], report["sum"]) == (True, 1, 5)
+    assert report["sunflower_center"] == report["I"] == {"ambient": d, "basis": [core]}
+
+
 def test_precondition_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "construct", "max", "--n", "4", "--k", "2", "--t", "1", "--q", "2")
     assert code == 2

@@ -25,7 +25,6 @@ from scidkit.gf import extension_field, field_from_order
 from scidkit.linalg import (
     BadDims,
     coordinate_subspace,
-    full_subspace,
     intersect,
     quotient_map,
     span_sum,
@@ -257,7 +256,7 @@ def test_lift_spread_roundtrip():
     assert rep.sum == (4 + 1) + 1
     # quotient by the center recovers a pairwise disjoint family
     center = rep.sunflower_center
-    qm = quotient_map(full_subspace(F2, 5), center)
+    qm = quotient_map(center)
     images = [qm.map_subspace(m) for m in lifted.members]
     for img in images:
         assert img.dim == 2

@@ -343,24 +343,45 @@ def test_quotient_map_properties():
             continue
         c_rows = [r for r in s.basis if rng.random() < 0.5]
         c = rref(F2, d, c_rows)
-        qm = quotient_map(s, c)
-        assert qm.target_dim == s.dim - c.dim
+        qm = quotient_map(c)
+        assert qm.target_dim == d - c.dim
         # kernel on s is exactly c
         for v in s.vectors():
             img = qm.apply(v)
             assert (img == (0,) * qm.target_dim) == c.contains_vector(v)
-        # image of s is everything
-        assert qm.map_subspace(s).dim == qm.target_dim
+        assert qm.map_subspace(s).dim == s.dim - c.dim
         # preimage round trip
         y = qm.map_subspace(s)
         back = qm.preimage(y)
         assert back == s
 
 
+def _combination(rng, field, rows, width):
+    v = [0] * width
+    for row in rows:
+        v = field.sub_multiple(v, rng.randrange(field.order), row)
+    return v
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_quotient_read_off_matches_the_applied_map(q):
+    field = field_from_order(q)
+    rng = random.Random(67 + q)
+    for _ in range(60):
+        d = rng.randrange(1, 7)
+        x = rref(field, d, _random_rows(rng, field, rng.randrange(d + 1), d))
+        c_rows = [_combination(rng, field, x.basis, d) for _ in range(rng.randrange(x.dim + 1))]
+        c = rref(field, d, c_rows)
+        qm = quotient_map(c)
+        y = qm.map_subspace(x)
+        assert y == rref(field, d - c.dim, [qm.apply(r) for r in x.basis])
+        assert y.dim == x.dim - c.dim
+        assert qm.preimage(y) == x
+
+
 def test_quotient_map_is_linear():
-    s = full_subspace(F3, 4)
     c = coordinate_subspace(F3, 4, [0])
-    qm = quotient_map(s, c)
+    qm = quotient_map(c)
     rng = random.Random(61)
     for _ in range(50):
         u = [rng.randrange(3) for _ in range(4)]
@@ -373,7 +394,10 @@ def test_quotient_map_is_linear():
 
 def test_quotient_requires_nesting():
     with pytest.raises(NotNested):
-        quotient_map(coordinate_subspace(F2, 3, [0]), coordinate_subspace(F2, 3, [1]))
+        quotient_map(coordinate_subspace(F2, 3, [1])).map_subspace(coordinate_subspace(F2, 3, [0]))
+    # C's pivots are among x's, yet C is not in x
+    with pytest.raises(NotNested):
+        quotient_map(rref(F3, 3, [(1, 2, 0)])).map_subspace(rref(F3, 3, [(1, 0, 0), (0, 0, 1)]))
 
 
 def test_random_subspace_golden_stream():

@@ -1,11 +1,15 @@
 """Enumeration order, counting, and the brute-force oracle."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import scidkit
 from scidkit.bounds import ScidParams, best_bound
 from scidkit.cli import main
 from scidkit.gf import field_from_order
@@ -201,9 +205,8 @@ def test_jobs_split_agrees_with_serial_run(n, k, t, d):
     solo = max_sum_bruteforce(n, k, t, F2, d)
     for jobs in (2, 3):
         multi = max_sum_bruteforce(n, k, t, F2, d, jobs=jobs)
-        assert (multi.best_sum, multi.witness, multi.exhaustive) == (
-            solo.best_sum, solo.witness, solo.exhaustive
-        )
+        assert multi == solo
+        assert multi.stats.nodes_per_depth == solo.stats.nodes_per_depth
 
 
 def test_search_stats_are_diagnostic_only():
@@ -286,6 +289,27 @@ def test_random_search_stays_below_oracle():
     assert rand.best_sum <= oracle.best_sum
     assert verify_scid(rand.witness, 2, 1)
     assert analyze(rand.witness).sum == rand.best_sum
+
+
+@pytest.mark.parametrize(
+    "d, code, result",
+    [
+        ("2", 0, {"best_sum": None, "witness": None, "explored": 0, "exhaustive": False}),
+        ("-1", 2, None),
+    ],
+)
+def test_random_search_without_k_spaces_returns_at_once(d, code, result):
+    # k > d leaves no k-space to draw and d < 0 no space at all; neither may sample
+    src = str(Path(scidkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from scidkit.cli import main; sys.exit(main())",
+         "search", "--random", "--n", "3", "--k", "3", "--t", "1", "--q", "2", "--d", d],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), timeout=5,
+    )
+    assert proc.returncode == code, proc.stderr
+    if result is not None:
+        assert json.loads(proc.stdout)["result"] == result
 
 
 def test_search_result_serialization():
