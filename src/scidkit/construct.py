@@ -22,6 +22,7 @@ by name for re-verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .gf import FieldSpec, extension_field
@@ -32,13 +33,15 @@ from .linalg import (
     complement_within,
     coordinate_subspace,
     embed_subspace,
+    full_subspace,
     is_subspace_of,
     meet_dim,
     meeting_pairs,
+    projective_points,
     rref,
 )
 from .scid import SubspaceFamily, _pairwise_intersections
-from .search import enumerate_subspaces, iter_subspaces
+from .search import _check_cap
 
 
 class PreconditionViolated(ValueError):
@@ -534,7 +537,9 @@ def desarguesian_spread(m: int, field: FieldSpec, t: int) -> SubspaceFamily:
     if t < 1:
         raise BadDims(f"t must be >= 1, got {t}")
     ext = extension_field(field, t)
-    members = tuple(field_reduce(line) for line in enumerate_subspaces(m, 1, ext))
+    _check_cap(_sunflower_lines(field.order, t, m))
+    lines = projective_points(full_subspace(ext, m))
+    members = tuple(field_reduce(Subspace(ext, m, (p,))) for p in lines)
     return SubspaceFamily(field, m * t, members)
 
 
@@ -579,9 +584,10 @@ def lift_spread_to_sunflower(spread: SubspaceFamily, center_dim: int) -> Subspac
 def construct_sunflower(n: int, k: int, t: int, field: FieldSpec, eta: int, eps: int = 0):
     """A (k, k-t)-sunflower of n members with sum 2k + (n-2)t - eta*t + eps.
 
-    Takes n lines of F_(q^t)^(n-eta) whose last n - eta are the standard
-    basis lines (so they span), expands them to a spanning partial t-spread
-    over F_q, optionally trims the first member to dimension t - eps inside
+    Takes n lines of F_(q^t)^(n-eta): the first eta lines in canonical order
+    that are not standard basis lines, then the n - eta standard basis lines
+    (so they span).  Expands them to a spanning partial t-spread over F_q,
+    optionally trims the first member to dimension t - eps inside
     the old ambient plus eps fresh directions, and lifts with a center of
     dimension k - t.  Feasibility needs n <= (q^(t(n-eta)) - 1)/(q^t - 1)
     lines to exist.
@@ -600,17 +606,11 @@ def construct_sunflower(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     params = {"n": n, "k": k, "t": t, "q": q, "eta": eta, "eps": eps}
 
     ext = extension_field(field, t)
-    standard = {
-        coordinate_subspace(ext, mprime, [i]).basis: i for i in range(mprime)
-    }
-    extras: list[Subspace] = []
-    for line in iter_subspaces(mprime, 1, ext):
-        if line.basis in standard:
-            continue
-        extras.append(line)
-        if len(extras) == eta:
-            break
-    lines = extras + [coordinate_subspace(ext, mprime, [i]) for i in range(mprime)]
+    # a normalized point is a standard basis vector exactly when it has one nonzero entry
+    points = projective_points(full_subspace(ext, mprime))
+    extras = islice((p for p in points if p.count(0) < mprime - 1), eta)
+    lines = [Subspace(ext, mprime, (p,)) for p in extras]
+    lines += [coordinate_subspace(ext, mprime, [i]) for i in range(mprime)]
 
     sigmas = [field_reduce(line) for line in lines]
     ambient = mprime * t

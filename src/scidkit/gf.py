@@ -448,10 +448,18 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSpec":
-        f = field_new(int(data["p"]))
+        f = field_new(_json_int(data["p"]))
         for mod in data["tower"]:
-            f = field_new(f.characteristic, len(mod) - 1, modulus=tuple(int(c) for c in mod), base=f)
+            modulus = tuple(map(_json_int, mod))
+            f = field_new(f.characteristic, len(modulus) - 1, modulus=modulus, base=f)
         return f
+
+
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer: from_dict refuses 2.7, true and "2"."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r:.40}")
+    return x
 
 
 def field_new(

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .gf import FieldMismatch, FieldSpec
+from .gf import FieldMismatch, FieldSpec, _json_int
 
 
 class AmbientMismatch(ValueError):
@@ -196,8 +196,8 @@ class Subspace:
 
     @classmethod
     def from_dict(cls, field: FieldSpec, data: dict) -> "Subspace":
-        ambient = int(data["ambient"])
-        rows = [[int(x) for x in r] for r in data["basis"]]
+        ambient = _json_int(data["ambient"])
+        rows = [[_json_int(x) for x in r] for r in data["basis"]]
         for r in rows:
             for x in r:
                 if not 0 <= x < field.order:
@@ -285,12 +285,15 @@ def meet_dim(a: Subspace, b: Subspace) -> int:
     return b.dim - sum(ech.insert(r) for r in b.basis)
 
 
-def _projective_points(s: Subspace) -> Iterator[tuple[int, ...]]:
+def projective_points(s: Subspace) -> Iterator[tuple[int, ...]]:
     """Each 1-space of s once, by its vector whose first nonzero entry is 1.
 
     Row i of the canonical basis contributes b_i + sum over j > i of c_j b_j
     for every c in F_q^(dim - 1 - i).  Rows after i vanish at b_i's pivot
     and every column before it, so that entry is the vector's leading 1.
+    The rows go in order and each c runs as base-q digits, the first most
+    significant; for the whole of F_q^m that is the canonical order of its
+    lines (see :mod:`scidkit.search`), each point its line's one-row basis.
     """
     field, basis = s.field, s.basis
     for i, row in enumerate(basis):
@@ -306,7 +309,7 @@ def _meeting_pairs_by_points(spaces: Sequence[Subspace]) -> set[tuple[int, int]]
     seen: dict[tuple[int, ...], list[int]] = {}
     pairs = set()
     for j, s in enumerate(spaces):
-        for point in _projective_points(s):
+        for point in projective_points(s):
             owners = seen.setdefault(point, [])
             pairs.update((i, j) for i in owners)
             owners.append(j)
@@ -335,7 +338,7 @@ def meeting_pairs(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
       the canonical basis as sum a_j b_j and let i be the least j with
       a_j != 0.  The rows from i on vanish before b_i's pivot and only b_i
       is nonzero there, so v's leading entry is a_i = 1 at that pivot, and
-      v is the vector :func:`_projective_points` lists for row i and
+      v is the vector :func:`projective_points` lists for row i and
       c_j = a_j.  Coordinates in a basis are unique, so it is listed once.
       A dict from point to the spaces listed so far then yields (i, j) for
       every j that lists a point some earlier i listed, and no other pair.
@@ -433,6 +436,9 @@ class QuotientMap:
         return len(self.free)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        d = self.center.ambient_dim
+        if len(vec) != d:
+            raise AmbientMismatch(f"vector of length {len(vec)} in ambient dimension {d}")
         v = Echelon.of(self.center).reduce(vec)
         return tuple(v[c] for c in self.free)
 

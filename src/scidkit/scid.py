@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf import FieldMismatch, FieldSpec
+from .gf import FieldMismatch, FieldSpec, _json_int
 from .linalg import (
     AmbientMismatch,
     NotNested,
@@ -108,7 +108,7 @@ class SubspaceFamily:
     @classmethod
     def from_dict(cls, data: dict) -> "SubspaceFamily":
         field = FieldSpec.from_dict(data["field"])
-        ambient = int(data["ambient"])
+        ambient = _json_int(data["ambient"])
         members = tuple(Subspace.from_dict(field, m) for m in data["members"])
         for m in members:
             if m.ambient_dim != ambient:

@@ -1,9 +1,9 @@
 """Exhaustive and randomized search over subspace families.
 
-Enumeration walks reduced-row-echelon bases directly: one pivot-column
-combination at a time (lexicographic), free cells filled with base-q digits,
-most significant first, so every k-dimensional subspace of F_q^d appears
-exactly once, in one canonical order.
+Canonical order of the k-subspaces of F_q^d: by the pivot columns of their
+reduced row echelon bases, lexicographically, then by the free cells
+(row-major) as base-q digits, the first most significant.
+:func:`meeting_subspaces` generates the search's candidates in this order.
 
 :func:`max_sum_bruteforce` is the ground-truth oracle for the largest
 dim S + dim I over all families of n k-spaces with pairwise intersections of
@@ -58,23 +58,6 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
     return num // den
 
 
-def iter_subspaces(d: int, k: int, field: FieldSpec):
-    """Yield every k-subspace of F_q^d once, in canonical order, uncapped.
-
-    Canonical order: pivot-column combinations lexicographically, then free
-    cells (row-major) as base-q digits with the first cell most significant.
-    """
-    if d < 0 or k < 0:
-        raise BadDims(f"dimensions must be >= 0, got d={d}, k={k}")
-    for pivots in combinations(range(d), k):
-        cells = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, d) if c not in pivots]
-        for values in product(range(field.order), repeat=len(cells)):
-            rows = [[int(c == p) for c in range(d)] for p in pivots]
-            for (r, c), x in zip(cells, values):
-                rows[r][c] = x
-            yield Subspace(field, d, tuple(map(tuple, rows)))
-
-
 def _check_cap(total: int) -> None:
     cap = int(os.environ.get(ENUM_CAP_ENV) or DEFAULT_ENUM_CAP)
     if total > cap:
@@ -82,12 +65,6 @@ def _check_cap(total: int) -> None:
             f"{total} subspaces to enumerate exceeds the cap of {cap}; "
             f"raise {ENUM_CAP_ENV} to proceed"
         )
-
-
-def enumerate_subspaces(d: int, k: int, field: FieldSpec):
-    """Capped canonical enumeration; raises CapExceeded instead of stalling."""
-    _check_cap(gaussian_binomial(d, k, field.order))
-    return iter_subspaces(d, k, field)
 
 
 def meeting_subspaces(d: int, k: int, t: int, field: FieldSpec) -> list[Subspace]:

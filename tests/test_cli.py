@@ -176,6 +176,40 @@ def test_verify_bare_family(capsys, tmp_path):
     assert report["bounds"]["best"] == 6
 
 
+def _f4_line_pair():
+    return {
+        "field": {"p": 2, "tower": [[1, 1, 1]]},
+        "ambient": 2,
+        "members": [{"ambient": 2, "basis": [[1, 2]]}, {"ambient": 2, "basis": [[0, 1]]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "slot,value",
+    [
+        (("field", "p"), 2.0),
+        (("field", "tower", 0, 1), "1"),
+        (("ambient",), 2.7),
+        (("members", 0, "ambient"), "2"),
+        (("members", 0, "basis", 0, 0), True),
+        (("members", 1, "basis", 0, 1), 1.9),
+    ],
+    ids=["p", "modulus", "ambient", "member-ambient", "entry-bool", "entry-float"],
+)
+def test_verify_accepts_only_json_integers(capsys, monkeypatch, slot, value):
+    family = _f4_line_pair()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(family)))
+    assert run_cli(capsys, "verify", "-")[0] == 0
+    *path, last = slot
+    target = family
+    for key in path:
+        target = target[key]
+    target[last] = value
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(family)))
+    code, out, err = run_cli(capsys, "verify", "-")
+    assert (code, out) == (2, "") and "malformed input: expected an integer" in err
+
+
 def test_verify_bare_family_not_scid_exits_1(capsys, tmp_path):
     fam = {
         "field": {"p": 2, "tower": []},
@@ -232,13 +266,13 @@ def test_core_route_over_a_large_field_tests_pairs_by_rank(capsys, monkeypatch, 
     assert report["S"]["basis"] == [core] + [e(i) for i in range(1, 7)]
 
     listed = []
-    real = linalg._projective_points
+    real = linalg.projective_points
 
     def counted(s):
         listed.append(s)
         return real(s)
 
-    monkeypatch.setattr(linalg, "_projective_points", counted)
+    monkeypatch.setattr(linalg, "projective_points", counted)
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert (code, out, listed) == (0, proc.stdout, [])
 
@@ -404,11 +438,18 @@ def test_console_script_entry_point():
     A checkout has no generated wrapper, so the ``[project.scripts]`` entry is
     resolved the way installers resolve it and called in a fresh process the
     way the generated wrapper calls it.  An installed ``scidkit`` on PATH is
-    run as well.
+    run as well.  The entry is read from the file's text, as ``tomllib`` is
+    not in the standard library before Python 3.11.
     """
-    tomllib = pytest.importorskip("tomllib")
-    with PYPROJECT.open("rb") as fh:
-        value = tomllib.load(fh)["project"]["scripts"]["scidkit"]
+    section, values = None, []
+    for line in PYPROJECT.read_text(encoding="utf-8").splitlines():
+        key, _, rest = line.partition("=")
+        if line.startswith("["):
+            section = line.strip()
+        elif section == "[project.scripts]" and key.strip() == "scidkit":
+            values.append(rest.strip().strip('"'))
+    assert len(values) == 1, values
+    value = values[0]
     assert callable(EntryPoint("scidkit", value, "console_scripts").load())
 
     wrapper = (

@@ -25,12 +25,15 @@ from scidkit.gf import extension_field, field_from_order
 from scidkit.linalg import (
     BadDims,
     coordinate_subspace,
+    full_subspace,
     intersect,
+    projective_points,
     quotient_map,
     span_sum,
 )
 from scidkit.scid import SubspaceFamily, analyze, verify_scid
-from scidkit.search import enumerate_subspaces
+
+from reference_enum import iter_subspaces
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -211,11 +214,15 @@ def test_field_reduce_golden():
     assert diag.basis == ((1, 0, 1, 0), (0, 1, 0, 1))
 
 
-@pytest.mark.parametrize("m,tdeg,q", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "m,tdeg,q", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (2, 2, 4), (3, 1, 4), (2, 2, 9)]
+)
 def test_field_reduce_exhaustive_lines(m, tdeg, q):
     base = field_from_order(q)
     ext = extension_field(base, tdeg)
-    lines = list(enumerate_subspaces(m, 1, ext))
+    lines = list(iter_subspaces(m, 1, ext))
+    # the spread and sunflower builders list lines this way; digests pin the order
+    assert [(p,) for p in projective_points(full_subspace(ext, m))] == [l.basis for l in lines]
     reduced = [field_reduce(l) for l in lines]
     assert len({r.basis for r in reduced}) == len(lines)  # injective
     for r in reduced:

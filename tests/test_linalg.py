@@ -21,9 +21,9 @@ from scidkit.linalg import (
     is_subspace_of,
     _meeting_pairs_by_points,
     _meeting_pairs_by_rank,
-    _projective_points,
     meet_dim,
     meeting_pairs,
+    projective_points,
     quotient_map,
     random_subspace,
     rref,
@@ -263,7 +263,7 @@ def test_projective_points_list_each_point_once(q):
         spaces = [zero_subspace(field, d), full_subspace(field, d)]
         spaces += [rref(field, d, _random_rows(rng, field, rng.randrange(d + 1), d)) for _ in range(4)]
         for s in spaces:
-            points = list(_projective_points(s))
+            points = list(projective_points(s))
             assert len(points) == len(set(points)) == _theta(q, s.dim), (q, s)
             for v in points:
                 assert next(x for x in v if x) == 1 and s.contains_vector(v), (q, s, v)
@@ -398,6 +398,14 @@ def test_quotient_requires_nesting():
     # C's pivots are among x's, yet C is not in x
     with pytest.raises(NotNested):
         quotient_map(rref(F3, 3, [(1, 2, 0)])).map_subspace(rref(F3, 3, [(1, 0, 0), (0, 0, 1)]))
+
+
+def test_quotient_apply_checks_the_vector_length():
+    qm = quotient_map(coordinate_subspace(F3, 4, [0]))
+    assert qm.apply((1, 2, 0, 1)) == (2, 0, 1)
+    for vec in [(1, 2, 0, 1, 2, 1), (1, 2), ()]:
+        with pytest.raises(AmbientMismatch):
+            qm.apply(vec)
 
 
 def test_random_subspace_golden_stream():

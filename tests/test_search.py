@@ -12,20 +12,27 @@ import pytest
 import scidkit
 from scidkit.bounds import ScidParams, best_bound
 from scidkit.cli import main
+from scidkit.construct import desarguesian_spread
 from scidkit.gf import field_from_order
-from scidkit.linalg import BadDims, coordinate_subspace, intersect
+from scidkit.linalg import (
+    BadDims,
+    coordinate_subspace,
+    full_subspace,
+    intersect,
+    projective_points,
+)
 from scidkit.scid import SubspaceFamily, analyze, verify_scid
 from scidkit.search import (
     CapExceeded,
     ENUM_CAP_ENV,
     SearchResult,
-    enumerate_subspaces,
     gaussian_binomial,
-    iter_subspaces,
     max_sum_bruteforce,
     meeting_subspaces,
     random_scid_search,
 )
+
+from reference_enum import iter_subspaces
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -55,8 +62,9 @@ def test_gaussian_binomial_edges():
 
 
 def test_enumeration_golden_order():
-    got = [s.basis for s in enumerate_subspaces(2, 1, F2)]
+    got = [s.basis for s in iter_subspaces(2, 1, F2)]
     assert got == [((1, 0),), ((1, 1),), ((0, 1),)]
+    assert [(p,) for p in projective_points(full_subspace(F2, 2))] == got
 
 
 @pytest.mark.parametrize(
@@ -65,7 +73,7 @@ def test_enumeration_golden_order():
 )
 def test_enumeration_counts_and_distinctness(d, k, q):
     field = field_from_order(q)
-    seen = [s.basis for s in enumerate_subspaces(d, k, field)]
+    seen = [s.basis for s in iter_subspaces(d, k, field)]
     assert len(seen) == gaussian_binomial(d, k, q)
     assert len(set(seen)) == len(seen)
     for basis in seen:
@@ -74,15 +82,16 @@ def test_enumeration_counts_and_distinctness(d, k, q):
 
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "10")
+    # listing the 15 lines of F_2^4 for a spread is capped by their count
     with pytest.raises(CapExceeded, match=ENUM_CAP_ENV):
-        enumerate_subspaces(4, 2, F2)
+        desarguesian_spread(4, F2, 1)
     # the search's candidates are capped by their own count, 3 * 3 * 2 here
     with pytest.raises(CapExceeded, match=ENUM_CAP_ENV):
         meeting_subspaces(4, 2, 1, F2)
     monkeypatch.setenv(ENUM_CAP_ENV, "18")
     assert len(meeting_subspaces(4, 2, 1, F2)) == 18
-    monkeypatch.setenv(ENUM_CAP_ENV, "35")
-    assert len(list(enumerate_subspaces(4, 2, F2))) == 35
+    monkeypatch.setenv(ENUM_CAP_ENV, "15")
+    assert len(desarguesian_spread(4, F2, 1).members) == 15
 
 
 def test_oracle_golden_values():
