@@ -428,14 +428,11 @@ def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
         fresh_p[i] = list(range(cursor, cursor + pdim))
         cursor += pdim
     fresh_x: dict[int, list[int]] = {}
-    y_coords: list[int] = []
-    if eps:
-        for i in glued:
-            fresh_x[i] = list(range(cursor, cursor + eps))
-            cursor += eps
-        y_coords = list(range(cursor, cursor + (eta - 1) * eps))
-        cursor += (eta - 1) * eps
-    ambient = cursor
+    for i in glued:
+        fresh_x[i] = list(range(cursor, cursor + eps))
+        cursor += eps
+    y_coords = list(range(cursor, cursor + (eta - 1) * eps))
+    ambient = cursor + (eta - 1) * eps
 
     d_coords = pair[(1, n)]
     coord_sets: list[list[int]] = []
@@ -444,43 +441,30 @@ def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     for i in glued:
         comp[f"P_{i}"] = coordinate_subspace(field, ambient, fresh_p[i])
 
-    if eps == 0:
-        for i in range(1, eta):
-            ci = priv[i] + d_coords + fresh_p[i]
-            for j in range(eta, n):
-                ci += pair[(i, j)]
-            coord_sets.append(ci)
-        for j in range(eta, n):
-            coord_sets.append(_max_member_coords(j, n, pair, priv))
-        cn = priv[n] + d_coords + fresh_p[n]
-        for j in range(eta, n):
-            cn += pair[(j, n)]
-        coord_sets.append(cn)
-    else:
-        e_coords = d_coords[:eps]
-        shrunk: dict[int, list[int]] = {
-            i: pair[(i, eta)][: k - t - eps] for i in range(1, eta)
-        }
-        shrunk[n] = pair[(eta, n)][: k - t - eps]
-        for i in range(1, eta):
-            ci = priv[i] + d_coords + shrunk[i] + fresh_p[i] + fresh_x[i]
-            for j in range(eta + 1, n):
-                ci += pair[(i, j)]
-            coord_sets.append(ci)
-        ceta = priv[eta] + e_coords + y_coords
-        for i in range(1, eta):
-            ceta += shrunk[i]
-        ceta += shrunk[n]
+    e_coords = d_coords[:eps]
+    shrunk: dict[int, list[int]] = {
+        i: pair[(i, eta)][: k - t - eps] for i in range(1, eta)
+    }
+    shrunk[n] = pair[(eta, n)][: k - t - eps]
+    for i in range(1, eta):
+        ci = priv[i] + d_coords + shrunk[i] + fresh_p[i] + fresh_x[i]
         for j in range(eta + 1, n):
-            ceta += pair[(eta, j)]
-        coord_sets.append(ceta)
-        for j in range(eta + 1, n):
-            coord_sets.append(_max_member_coords(j, n, pair, priv))
-        cn = priv[n] + d_coords + shrunk[n] + fresh_p[n] + fresh_x[n]
-        for j in range(eta + 1, n):
-            cn += pair[(j, n)]
-        coord_sets.append(cn)
-
+            ci += pair[(i, j)]
+        coord_sets.append(ci)
+    ceta = priv[eta] + e_coords + y_coords
+    for i in range(1, eta):
+        ceta += shrunk[i]
+    ceta += shrunk[n]
+    for j in range(eta + 1, n):
+        ceta += pair[(eta, j)]
+    coord_sets.append(ceta)
+    for j in range(eta + 1, n):
+        coord_sets.append(_max_member_coords(j, n, pair, priv))
+    cn = priv[n] + d_coords + shrunk[n] + fresh_p[n] + fresh_x[n]
+    for j in range(eta + 1, n):
+        cn += pair[(j, n)]
+    coord_sets.append(cn)
+    if eps:
         comp["E"] = coordinate_subspace(field, ambient, e_coords)
         for i in range(1, eta):
             comp[f"D_{i}"] = coordinate_subspace(field, ambient, shrunk[i])

@@ -7,11 +7,12 @@ in [0, q): the little-endian positional encoding of the coefficient vector
 over the base, code = c_0 + c_1*b + ... + c_{e-1}*b^(e-1) where b is the base
 order.  Code 0 is the additive identity and code 1 the multiplicative one.
 
-Extension arithmetic is table driven: addition tables plus discrete log/exp
-tables over a primitive element are built lazily from exact polynomial
-arithmetic, which keeps row reduction over F_4/F_8/F_9 as cheap as the
-modular prime-field path.  Specs are immutable values; equality and hashing
-are structural over (characteristic, degree, modulus, base).
+Extension arithmetic is table driven: one addition, one negation, one q x q
+multiplication and one inverse table, built together on first use from
+exact polynomial arithmetic, which keeps row reduction over F_4/F_8/F_9 as
+cheap as the modular prime-field path.  Specs are immutable values;
+equality and hashing are structural over (characteristic, degree, modulus,
+base).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 MAX_EXTENSION_ORDER = 2**10
 """The largest order :func:`field_new` builds an extension field of.
 
-Extension arithmetic uses q x q addition tables, built on first use: at
-q = 1024 the addition table holds 1,048,576 entries.  The irreducibility
+Extension arithmetic uses q x q addition and multiplication tables, built
+on first use: at q = 1024 the two hold 2,097,152 entries.  The irreducibility
 test of a given modulus tries every monic factor of up to half its degree,
 so without the limit a degree-2 tower over a prime near 10^18 would try
 10^18 linear factors.  Prime fields do modular arithmetic, need no tables
@@ -98,7 +99,8 @@ def _is_prime(n: int) -> bool:
 # polynomial helpers over an arbitrary base field
 #
 # Polynomials are little-endian lists of element codes.  Only what the
-# irreducibility test needs: multiplication is not required, just remainders.
+# irreducibility test and the table build need: remainders, each step one
+# row operation of the base field.
 # ---------------------------------------------------------------------------
 
 
@@ -108,12 +110,9 @@ def _poly_mod(base: "FieldSpec", num: list[int], den: Sequence[int]) -> list[int
     dd = len(den) - 1
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
-        if c == 0:
-            continue
-        rem[i] = 0
-        for j in range(dd):
-            if den[j]:
-                rem[i - dd + j] = base.sub(rem[i - dd + j], base.mul(c, den[j]))
+        if c:
+            # den is monic, so this also zeroes rem[i]
+            rem[i - dd : i + 1] = base.sub_multiple(rem[i - dd : i + 1], c, den)
     while len(rem) > 1 and rem[-1] == 0:
         rem.pop()
     return rem
@@ -180,10 +179,8 @@ class FieldSpec:
         "_hash",
         "_add_t",
         "_neg_t",
-        "_exp_t",
-        "_log_t",
+        "_mul_t",
         "_inv_t",
-        "_mul_rows",
     )
 
     def __init__(
@@ -201,10 +198,8 @@ class FieldSpec:
         self._hash = hash((characteristic, degree, self.modulus, base))
         self._add_t = None
         self._neg_t = None
-        self._exp_t = None
-        self._log_t = None
+        self._mul_t = None
         self._inv_t = None
-        self._mul_rows: dict[int, tuple[list[int], list[int]]] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -301,11 +296,9 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
             return (a * b) % self.characteristic
-        if a == 0 or b == 0:
-            return 0
-        if self._exp_t is None:
+        if self._mul_t is None:
             self._build_tables()
-        return self._exp_t[self._log_t[a] + self._log_t[b]]
+        return self._mul_t[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -321,7 +314,9 @@ class FieldSpec:
         if self.base is None:
             p = self.characteristic
             return [(a - c * b) % p for a, b in zip(v, row)]
-        neg_c = self._multiples(c)[1]
+        if self._mul_t is None:
+            self._build_tables()
+        neg_c = self._mul_t[self._neg_t[c]]  # -c*b = (-c)*b
         add = self._add_t
         return [add[a][neg_c[b]] for a, b in zip(v, row)]
 
@@ -330,19 +325,10 @@ class FieldSpec:
         if self.base is None:
             p = self.characteristic
             return [c * b % p for b in row]
-        times_c = self._multiples(c)[0]
+        if self._mul_t is None:
+            self._build_tables()
+        times_c = self._mul_t[c]
         return [times_c[b] for b in row]
-
-    def _multiples(self, c: int) -> tuple[list[int], list[int]]:
-        """Tables b -> c*b and b -> -c*b of an extension field, cached per c."""
-        tables = self._mul_rows.get(c)
-        if tables is None:
-            if self._exp_t is None:
-                self._build_tables()
-            times_c = [self.mul(c, b) for b in range(self.order)]
-            tables = (times_c, [self._neg_t[x] for x in times_c])
-            self._mul_rows[c] = tables
-        return tables
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -362,53 +348,26 @@ class FieldSpec:
         """Polynomial product of two codes reduced mod the modulus."""
         base = self.base
         e = self.degree
-        va, vb = self._unpack(a), self._unpack(b)
+        vb = self._unpack(b)
         prod = [0] * (2 * e - 1)
-        for i, x in enumerate(va):
-            if x == 0:
-                continue
-            for j, y in enumerate(vb):
-                if y:
-                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        for m in range(2 * e - 2, e - 1, -1):
-            c = prod[m]
-            if c == 0:
-                continue
-            prod[m] = 0
-            for j in range(e):
-                if self.modulus[j]:
-                    prod[m - e + j] = base.sub(prod[m - e + j], base.mul(c, self.modulus[j]))
-        return self._pack(prod[:e])
-
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        factors = []
-        m = n
-        f = 2
-        while f * f <= m:
-            if m % f == 0:
-                factors.append(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            factors.append(m)
-
-        def raw_pow(a: int, k: int) -> int:
-            r, acc = 1, a
-            while k:
-                if k & 1:
-                    r = self._raw_mul(r, acc)
-                acc = self._raw_mul(acc, acc)
-                k >>= 1
-            return r
-
-        for g in range(2, self.order):
-            if all(raw_pow(g, n // f) != 1 for f in factors):
-                return g
-        return 1  # order 2: the only unit is 1
+        for i, x in enumerate(self._unpack(a)):
+            if x:
+                prod[i : i + e] = base.sub_multiple(prod[i : i + e], base.neg(x), vb)
+        return self._pack(_poly_mod(base, prod, self.modulus))
 
     def _build_tables(self) -> None:
+        """Fill the addition, negation, multiplication and inverse tables.
+
+        The units of F_q form a cyclic group of order q - 1, so the powers
+        1, g, g^2, ... of a unit g first return to 1 after ord(g) steps, and
+        g generates the group exactly when that walk has q - 1 elements.
+        Such a g exists, so trying g = 1, 2, ... in turn ends; g = 1 is the
+        generator of F_2 (q - 1 = 1), which degree-1 extensions of F_2 are.
+        The walk of the generator is exp, a bijection from [0, q - 1) onto
+        the units, and log is its inverse, so for units a and b
+        a*b = exp[log a + log b] (indices mod q - 1) and 1/a = exp[-log a].
+        Row 0 and column 0 of the product table are 0.
+        """
         q = self.order
         base = self.base
         vecs = [self._unpack(a) for a in range(q)]
@@ -418,22 +377,20 @@ class FieldSpec:
             [self._pack([badd(x, y) for x, y in zip(vecs[a], vecs[b])]) for b in range(q)]
             for a in range(q)
         ]
-        g = self._find_generator()
-        exp = [1] * (2 * (q - 1))
+        for g in range(1, q):
+            exp, acc = [1], g
+            while acc != 1:
+                exp.append(acc)
+                acc = self._raw_mul(acc, g)
+            if len(exp) == q - 1:
+                break
         log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, g)
-        self._exp_t = exp
-        self._log_t = log
-        inv = [0] * q
-        inv[1] = 1
-        for a in range(2, q):
-            inv[a] = exp[q - 1 - log[a]]
-        self._inv_t = inv
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp2 = exp + exp
+        unit_logs = log[1:]
+        self._mul_t = [[0] * q] + [[0] + [exp2[la + lb] for lb in unit_logs] for la in unit_logs]
+        self._inv_t = [0] + [exp[-la] for la in unit_logs]
 
     # -- serialization -------------------------------------------------------
 

@@ -59,7 +59,10 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
 
 
 def _check_cap(total: int) -> None:
-    cap = int(os.environ.get(ENUM_CAP_ENV) or DEFAULT_ENUM_CAP)
+    raw = os.environ.get(ENUM_CAP_ENV, "")
+    if raw and not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{ENUM_CAP_ENV} must be a non-negative decimal integer, got {raw!r:.40}")
+    cap = int(raw) if raw else DEFAULT_ENUM_CAP
     if total > cap:
         raise CapExceeded(
             f"{total} subspaces to enumerate exceeds the cap of {cap}; "
@@ -158,7 +161,9 @@ class SearchResult:
     (brute force) or sampled (random).  explored counts search-tree nodes
     or completed samples, and stats holds the exhaustive search's
     diagnostics; both are diagnostic only, and stats is outside to_dict()
-    and equality.
+    and equality.  The processes of a search with jobs > 1 do not share
+    their best sums, so they can prune less than a serial walk: explored
+    and the node counts may then differ from it, best_sum and witness not.
     """
 
     best_sum: int | None
@@ -349,8 +354,9 @@ def max_sum_bruteforce(
     first needs them (see :class:`_Tree`), so a walk that stops at depth 3
     tests no pair within L.  jobs > 1 deals the third member's positions in
     L round-robin to that many processes; each walks its subtrees on its own
-    and the merge keeps the largest sum, then the least tuple, so the result
-    does not depend on jobs.
+    and the merge keeps the largest sum, then the least tuple, so best_sum
+    and the witness do not depend on jobs.  A process prunes only against
+    its own best sum, so explored and the node counts can.
     """
     if n < 2:
         raise BadDims(f"n must be >= 2, got {n}")

@@ -288,3 +288,52 @@ def test_fused_row_operations_match_entrywise_arithmetic(q):
         want = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
         assert field.sub_multiple(v, c, row) == want
         assert field.scale(c, row) == [field.mul(c, b) for b in row]
+
+
+def _schoolbook_add(f, a, b):
+    """a + b coefficient by coefficient down the tower, with no table."""
+    if f.base is None:
+        return (a + b) % f.characteristic
+    return f._pack([_schoolbook_add(f.base, x, y) for x, y in zip(f._unpack(a), f._unpack(b))])
+
+
+def _schoolbook_mul(f, a, b):
+    """The polynomial product of a and b over the base, reduced by the modulus."""
+    if f.base is None:
+        return a * b % f.characteristic
+    base, e = f.base, f.degree
+    minus_one = f.characteristic - 1  # the prime-field element -1 has this code at every level
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(f._unpack(a)):
+        for j, y in enumerate(f._unpack(b)):
+            prod[i + j] = _schoolbook_add(base, prod[i + j], _schoolbook_mul(base, x, y))
+    for top in range(2 * e - 2, e - 1, -1):
+        c = _schoolbook_mul(base, minus_one, prod[top])
+        for j, m in enumerate(f.modulus):
+            prod[top - e + j] = _schoolbook_add(base, prod[top - e + j], _schoolbook_mul(base, c, m))
+    assert prod[e:] == [0] * (e - 1)
+    return f._pack(prod[:e])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [field_from_order(q) for q in (4, 8, 9, 25, 27)]
+    + [
+        extension_field(field_from_order(4), 2),
+        extension_field(field_from_order(2), 1),
+        extension_field(field_from_order(3), 1),
+    ],
+    ids=repr,
+)
+def test_tables_are_the_schoolbook_product_modulo_the_modulus(field):
+    q = field.order
+    els = list(field.elements())
+    v = random.Random(q).sample(els, q)
+    for a in els:
+        want = [_schoolbook_mul(field, a, b) for b in els]
+        assert [field.mul(a, b) for b in els] == want
+        assert field.scale(a, els) == want
+        minus = [_schoolbook_mul(field, field.characteristic - 1, x) for x in want]
+        assert field.sub_multiple(v, a, els) == [_schoolbook_add(field, x, y) for x, y in zip(v, minus)]
+        if a:
+            assert _schoolbook_mul(field, field.inv(a), a) == 1

@@ -94,6 +94,21 @@ def test_enumeration_cap(monkeypatch):
     assert len(desarguesian_spread(4, F2, 1).members) == 15
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "+5", "1.5", "1_000", " 18", "١٨"])
+def test_enumeration_cap_must_be_a_decimal_integer(monkeypatch, capsys, raw):
+    monkeypatch.setenv(ENUM_CAP_ENV, raw)
+    with pytest.raises(ValueError, match=ENUM_CAP_ENV):
+        meeting_subspaces(4, 2, 1, F2)
+    assert main(["search", "--n", "3", "--k", "2", "--t", "1", "--q", "2", "--d", "4"]) == 2
+    err = capsys.readouterr().err
+    assert ENUM_CAP_ENV in err and repr(raw) in err
+
+
+def test_empty_enumeration_cap_keeps_the_default(monkeypatch):
+    monkeypatch.setenv(ENUM_CAP_ENV, "")
+    assert len(meeting_subspaces(4, 2, 1, F2)) == 18
+
+
 def test_oracle_golden_values():
     assert max_sum_bruteforce(3, 2, 1, F2, 3).best_sum == 6
     assert max_sum_bruteforce(3, 2, 1, F2, 4).best_sum == 6
@@ -240,6 +255,14 @@ def test_jobs_merge_is_deterministic():
     assert solo.best_sum == multi.best_sum
     assert solo.witness == multi.witness
     assert multi.exhaustive
+
+
+def test_jobs_split_keeps_the_maximum_and_witness_when_it_prunes_less():
+    # the processes do not share their best sums: 9 nodes alone, 10 split in two
+    solo = max_sum_bruteforce(3, 3, 1, F3, 5)
+    multi = max_sum_bruteforce(3, 3, 1, F3, 5, jobs=2)
+    assert multi.best_sum == solo.best_sum == 8
+    assert multi.witness == solo.witness
 
 
 def test_recorded_refined_regime_maximum_reproduces():
