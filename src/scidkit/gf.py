@@ -405,10 +405,24 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSpec":
+        """The field of a to_dict() form.
+
+        While every level so far has the smallest irreducible modulus, a
+        level with that modulus again is the cached extension_field, tables
+        included.  Any other modulus is validated and built afresh, so input
+        adds nothing to a cache but the canonical fields.
+        """
         f = field_new(_json_int(data["p"]))
+        canonical = True
         for mod in data["tower"]:
             modulus = tuple(map(_json_int, mod))
-            f = field_new(f.characteristic, len(modulus) - 1, modulus=modulus, base=f)
+            e = len(modulus) - 1
+            canonical = (canonical and e >= 1 and not _too_large(f, e)
+                         and modulus == _smallest_irreducible(f, e))
+            if canonical:
+                f = extension_field(f, e)
+            else:
+                f = field_new(f.characteristic, e, modulus=modulus, base=f)
         return f
 
 
@@ -417,6 +431,12 @@ def _json_int(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r:.40}")
     return x
+
+
+def _too_large(base: FieldSpec, e: int) -> bool:
+    """Whether base^e exceeds MAX_EXTENSION_ORDER."""
+    # order >= 2^e, so the bit-length test spares computing a huge power
+    return e >= MAX_EXTENSION_ORDER.bit_length() or base.order**e > MAX_EXTENSION_ORDER
 
 
 def field_new(
@@ -449,8 +469,7 @@ def field_new(
             raise FieldMismatch(
                 f"characteristic {p} does not match base characteristic {base.characteristic}"
             )
-    # order >= 2^e, so the bit-length test spares computing a huge power
-    if e >= MAX_EXTENSION_ORDER.bit_length() or base.order**e > MAX_EXTENSION_ORDER:
+    if _too_large(base, e):
         raise FieldError(
             f"extension of order {base.order}^{e} is too large (limit {MAX_EXTENSION_ORDER})"
         )
@@ -481,7 +500,7 @@ def field_from_order(q: int) -> FieldSpec:
     for e in range(q.bit_length(), 0, -1):
         p = _iroot(q, e)
         if p**e == q and _is_prime(p):
-            return field_new(p, e)
+            return field_new(p) if e == 1 else extension_field(field_new(p), e)
     raise NotPrime(f"{q} is not a prime power")
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from multiprocessing import get_context
 from random import Random
 from time import perf_counter
 
@@ -31,6 +31,7 @@ from .linalg import (
     coordinate_subspace,
     intersect,
     meet_dim,
+    projective_points,
 )
 from .scid import SubspaceFamily, analyze
 
@@ -82,7 +83,13 @@ def meeting_subspaces(d: int, k: int, t: int, field: FieldSpec) -> list[Subspace
     The walk fills the rows in order, each row's free cells as base-q digits
     with the first most significant, so it meets the bases in canonical
     order; it cuts a branch once the upper rows' rank in the last d - k
-    columns can no longer end at t - (k - u).
+    columns can no longer end at t - (k - u).  Only a row's cells in those
+    columns (its tail) move that rank, so a row's valid tails and their
+    grown accumulators are listed once per accumulator its parent hands
+    down, and its cells in the first k columns (its head), the more
+    significant digits, loop outside them.  A tail raises the rank exactly
+    when the accumulator does not contain it, and only an upper row before
+    the last needs the grown copy.
     """
     if d < 0 or not 0 <= t <= k:
         raise BadDims(f"need d >= 0 and 0 <= t <= k, got d={d}, k={k}, t={t}")
@@ -96,22 +103,41 @@ def meeting_subspaces(d: int, k: int, t: int, field: FieldSpec) -> list[Subspace
         if need < 0:
             continue
 
+        # keyed by the accumulator's identity: every head hands down the same ones
+        listed: dict[tuple[int, Echelon], list] = {}
+
+        def tails_of(r: int, tails: Echelon, cells: list[int]) -> list:
+            if (r, tails) not in listed:
+                options = listed[r, tails] = []
+                for values in product(range(q), repeat=len(cells)):
+                    tail = [int(c == pivots[r]) for c in range(k, d)]
+                    for c, x in zip(cells, values):
+                        tail[c - k] = x
+                    grown = tails
+                    if r < upper:
+                        rank = tails.rank + (not tails.contains(tail))
+                        if not need - (upper - r - 1) <= rank <= need:
+                            continue
+                        if rank > tails.rank and r + 1 < upper:  # a later upper row reads it
+                            grown = tails.copy()
+                            grown.insert(tail)
+                    options.append((tuple(tail), grown))
+            return listed[r, tails]
+
         def fill(r: int, rows: tuple, tails: Echelon):
             if r == k:
                 out.append(Subspace(field, d, rows))
                 return
             cells = [c for c in range(pivots[r] + 1, d) if c not in pivots]
-            for values in product(range(q), repeat=len(cells)):
-                row = [int(c == pivots[r]) for c in range(d)]
-                for c, x in zip(cells, values):
-                    row[c] = x
-                grown = tails
-                if r < upper:
-                    grown = tails.copy()
-                    grown.insert(row[k:])
-                    if not need - (upper - r - 1) <= grown.rank <= need:
-                        continue
-                fill(r + 1, rows + (tuple(row),), grown)
+            head = [c for c in cells if c < k]
+            options = tails_of(r, tails, cells[len(head) :])
+            for values in product(range(q), repeat=len(head)):
+                front = [int(c == pivots[r]) for c in range(k)]
+                for c, x in zip(head, values):
+                    front[c] = x
+                front = tuple(front)
+                for tail, grown in options:
+                    fill(r + 1, rows + (front + tail,), grown)
 
         fill(0, (), Echelon(field, d - k))
     return out
@@ -130,8 +156,10 @@ class SearchStats:
     bound, "optimism" when a node's optimistic sum is no better than the
     best.  candidates is |L|, the members left to choose from once the first
     two are fixed (see :func:`max_sum_bruteforce`).  rank_tests counts the
-    compatibility tests, and intersect_calls the intersection bases built
-    for the members the walk chose.
+    compatibility tests with c*, intersect_calls the intersection bases
+    built with index 0 or c* for the members the walk chose, and
+    point_entries the (point, member) entries of the index of L's
+    projective points that adjacency rows are read from (see :class:`_Tree`).
     """
 
     nodes_per_depth: dict[int, int]
@@ -139,6 +167,7 @@ class SearchStats:
     candidates: int
     rank_tests: int
     intersect_calls: int
+    point_entries: int
     elapsed_s: float
 
     def to_dict(self) -> dict:
@@ -148,6 +177,7 @@ class SearchStats:
             "candidates": self.candidates,
             "rank_tests": self.rank_tests,
             "intersect_calls": self.intersect_calls,
+            "point_entries": self.point_entries,
             "elapsed_s": self.elapsed_s,
         }
 
@@ -187,17 +217,40 @@ class _Tree:
     members is (0, c*) followed by L, and the walk names members by their
     position there.  meet(i, j), for i < j, is a basis of the intersection
     of members i and j, and bit i of adj(j) is set when i > j and members i
-    and j are compatible.  Both are computed on first use and kept;
-    rank_tests and intersect_calls count that work.
+    and j are compatible; the walk asks adj only of members of L.  Both are
+    computed on first use and kept.  Compatibility with c* is a rank test
+    (rank_tests counts them), and a meet with 0 or c* is an intersection
+    (intersect_calls).  Within L, both come from one index that maps each
+    projective point (see :func:`~scidkit.linalg.projective_points`) to the
+    members of L containing it, built on the first adj call, so a
+    three-member search lists no point; point_entries counts its
+    (point, member) entries.
+
+    * Test.  Every nonzero vector of a space is a multiple of exactly one of
+      its points, so two k-spaces share exactly the points of their
+      intersection, and an m-space has theta(m) = (q^m - 1)/(q - 1) points.
+      theta strictly increases with m, so members i and j are compatible
+      exactly when they share theta(k - t) points.  That is 0 when t = k:
+      a member that shares no point with j counts as sharing 0.
+    * Meets.  The shared points are all the points of the meet.  The
+      leading positions of a space's nonzero vectors are the pivots of its
+      canonical basis, dim of them, and each point has a leading 1.  So one
+      shared point per leading position, in order of position, gives k - t
+      rows in echelon form: independent vectors of the meet, a basis of it,
+      though not the reduced one.  The walk reads only ranks, which do not
+      depend on the basis chosen.
     """
 
     def __init__(self, n: int, k: int, t: int, field: FieldSpec, with_0: list[Subspace]):
         self.n, self.k, self.t = n, k, t
         self.step = t + min(t, k - t)
         self.bound = best_bound(ScidParams(n, k, t)).best
-        self.rank_tests = self.intersect_calls = 0
+        self.rank_tests = self.intersect_calls = self.point_entries = 0
         self._meets: dict[tuple[int, int], tuple] = {}
         self._adj: dict[int, int] = {}
+        self._owners: dict[tuple[int, ...], list[int]] | None = None
+        self._points: dict[int, dict[tuple[int, ...], None]] = {}
+        self._theta = (field.order ** (k - t) - 1) // (field.order - 1)  # theta(k - t)
         c_star = Echelon.of(with_0[0])
         self.members = (
             coordinate_subspace(field, with_0[0].ambient_dim, range(k)),
@@ -216,15 +269,36 @@ class _Tree:
 
     def meet(self, i: int, j: int) -> tuple:
         if (i, j) not in self._meets:
-            self.intersect_calls += 1
-            self._meets[i, j] = intersect(self.members[i], self.members[j]).basis
+            if i < 2:
+                self.intersect_calls += 1
+                self._meets[i, j] = intersect(self.members[i], self.members[j]).basis
+            else:  # both in L, so adj(i) has built the index
+                points_i = self._points[i]
+                leads: dict[int, tuple[int, ...]] = {}
+                for p in self._points[j]:
+                    if p in points_i:
+                        leads.setdefault(p.index(1), p)
+                self._meets[i, j] = tuple(leads[c] for c in sorted(leads))
         return self._meets[i, j]
 
     def adj(self, j: int) -> int:
         if j not in self._adj:
-            u = Echelon.of(self.members[j])
-            later = range(j + 1, len(self.members))
-            self._adj[j] = sum(1 << i for i in later if self.compatible(u, self.members[i]))
+            if self._owners is None:
+                self._owners = {}
+                for m in range(2, len(self.members)):
+                    points = self._points[m] = dict.fromkeys(projective_points(self.members[m]))
+                    for p in points:
+                        self._owners.setdefault(p, []).append(m)
+                    self.point_entries += len(points)
+            shared: Counter[int] = Counter()
+            for p in self._points[j]:
+                owners = self._owners[p]
+                shared.update(owners[owners.index(j) + 1 :])
+            if self._theta:
+                later = [i for i, c in shared.items() if c == self._theta]
+            else:
+                later = [i for i in range(j + 1, len(self.members)) if i not in shared]
+            self._adj[j] = sum(1 << i for i in later)
         return self._adj[j]
 
 
@@ -232,12 +306,14 @@ def _walk(payload):
     """DFS of a _Tree, over the third members at positions 2 + part, 2 + part + parts, ...
 
     Returns (best_sum, best positions, nodes per depth below the root,
-    prunes by reason, rank tests, intersect calls); the caller counts the
-    root, which every part shares, once.
+    prunes by reason, rank tests, intersect calls, point entries); the
+    caller counts the root, which every part shares, once.  A member chosen
+    at depth n is a leaf: its two ranks are compared with the best sum on
+    the spot.
     """
     tree, part, parts = payload
     n, step, bound = tree.n, tree.step, tree.bound
-    tests, calls = tree.rank_tests, tree.intersect_calls
+    tests, calls, entries = tree.rank_tests, tree.intersect_calls, tree.point_entries
     best_sum: int | None = None
     best: tuple[int, ...] | None = None
     nodes = dict.fromkeys(range(2, n + 1), 0)
@@ -246,12 +322,7 @@ def _walk(payload):
 
     def extend(m: int, cand: int, walk: int, s_ech: Echelon, i_ech: Echelon) -> None:
         nonlocal best_sum, best
-        cur = s_ech.rank + i_ech.rank
-        if m == n:
-            if best_sum is None or cur > best_sum:
-                best_sum, best = cur, tuple(chosen)
-            return
-        optimistic = cur + (n - m) * step
+        optimistic = s_ech.rank + i_ech.rank + (n - m) * step
         while walk:
             if best_sum is not None:
                 if best_sum >= bound:
@@ -270,9 +341,13 @@ def _walk(payload):
             for i in chosen:
                 for row in tree.meet(i, j):
                     i2.insert(row)
-            chosen.append(j)
             nodes[m + 1] += 1
-            below = cand & tree.adj(j) if m + 1 < n else 0
+            if m + 1 == n:
+                if best_sum is None or s2.rank + i2.rank > best_sum:
+                    best_sum, best = s2.rank + i2.rank, (*chosen, j)
+                continue
+            chosen.append(j)
+            below = cand & tree.adj(j)
             extend(m + 1, below, below, s2, i2)
             chosen.pop()
 
@@ -284,9 +359,13 @@ def _walk(payload):
     for row in tree.meet(0, 1):
         i_root.insert(row)
     size = len(tree.members)
-    dealt = sum(1 << j for j in range(2 + part, size, parts))
-    extend(2, (1 << size) - 4, dealt, s_root, i_root)  # candidates: positions 2.. (all of L)
-    return best_sum, best, nodes, prunes, tree.rank_tests - tests, tree.intersect_calls - calls
+    if n == 2:
+        best_sum, best = s_root.rank + i_root.rank, (0, 1)
+    else:
+        dealt = sum(1 << j for j in range(2 + part, size, parts))
+        extend(2, (1 << size) - 4, dealt, s_root, i_root)  # candidates: positions 2.. (all of L)
+    return (best_sum, best, nodes, prunes, tree.rank_tests - tests,
+            tree.intersect_calls - calls, tree.point_entries - entries)
 
 
 def max_sum_bruteforce(
@@ -351,8 +430,8 @@ def max_sum_bruteforce(
     Each member of L gets an int bitmask of the later members of L
     compatible with it, so a node's candidate set is the AND of its
     members' masks.  Masks and intersection bases are built when the walk
-    first needs them (see :class:`_Tree`), so a walk that stops at depth 3
-    tests no pair within L.  jobs > 1 deals the third member's positions in
+    first needs them, those within L from shared projective points (see
+    :class:`_Tree`), so a walk that stops at depth 3 tests no pair within L.  jobs > 1 deals the third member's positions in
     L round-robin to that many processes; each walks its subtrees on its own
     and the merge keeps the largest sum, then the least tuple, so best_sum
     and the witness do not depend on jobs.  A process prunes only against
@@ -367,16 +446,18 @@ def max_sum_bruteforce(
     prunes = dict.fromkeys(PRUNE_REASONS, 0)
     with_0 = meeting_subspaces(d, k, t, field)
     if not with_0:
-        stats = SearchStats(nodes, prunes, 0, 0, 0, perf_counter() - start)
+        stats = SearchStats(nodes, prunes, 0, 0, 0, 0, perf_counter() - start)
         return SearchResult(None, None, 0, True, stats)
     tree = _Tree(n, k, t, field, with_0)
     nodes[2] = 1
-    rank_tests, calls = tree.rank_tests, tree.intersect_calls
+    rank_tests, calls, entries = tree.rank_tests, tree.intersect_calls, tree.point_entries
 
     parts = min(jobs, len(tree.members) - 2) if n > 2 else 1
     if parts <= 1:
         walks = [_walk((tree, 0, 1))]
     else:
+        from multiprocessing import get_context
+
         try:
             ctx = get_context("fork")
         except ValueError:
@@ -385,20 +466,21 @@ def max_sum_bruteforce(
             walks = pool.map(_walk, [(tree, p, parts) for p in range(parts)])
 
     best_sum, best = None, None
-    for b, w, walk_nodes, walk_prunes, walk_tests, walk_calls in walks:
+    for b, w, walk_nodes, walk_prunes, walk_tests, walk_calls, walk_entries in walks:
         for m, c in walk_nodes.items():
             nodes[m] += c
         for r, c in walk_prunes.items():
             prunes[r] += c
         rank_tests += walk_tests
         calls += walk_calls
+        entries += walk_entries
         if b is not None and (best_sum is None or b > best_sum or (b == best_sum and w < best)):
             best_sum, best = b, w
     witness = None
     if best is not None:
         witness = SubspaceFamily(field, d, tuple(tree.members[j] for j in best))
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes, prunes, len(tree.members) - 2, rank_tests, calls, elapsed)
+    stats = SearchStats(nodes, prunes, len(tree.members) - 2, rank_tests, calls, entries, elapsed)
     return SearchResult(best_sum, witness, sum(nodes.values()), True, stats)
 
 

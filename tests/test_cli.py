@@ -405,7 +405,8 @@ def test_search_cli_stats_go_to_stderr_only(capsys):
     stats = json.loads(line)
     assert line == canonical_dumps(stats)
     assert set(stats) == {
-        "nodes_per_depth", "prunes", "candidates", "rank_tests", "intersect_calls", "elapsed_s"
+        "nodes_per_depth", "prunes", "candidates", "rank_tests", "intersect_calls",
+        "point_entries", "elapsed_s",
     }
     assert sum(stats["nodes_per_depth"].values()) == json.loads(out)["result"]["explored"]
     assert set(stats["nodes_per_depth"]) == {"2", "3", "4"}

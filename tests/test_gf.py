@@ -176,6 +176,36 @@ def test_serialization_roundtrip():
         assert again.mul(a, a) == f16.mul(a, a)
 
 
+def test_verify_reuses_the_canonical_field(capsys, monkeypatch, tmp_path):
+    assert main(["construct", "max", "--n", "3", "--k", "3", "--t", "2", "--q", "9"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    built = []
+    read = FieldSpec.from_dict.__func__
+    monkeypatch.setattr(
+        FieldSpec, "from_dict", classmethod(lambda cls, data: built.append(read(cls, data)) or built[-1])
+    )
+    for _ in range(2):
+        assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert len(built) >= 2 and all(f is field_from_order(9) for f in built)
+    # x^2 + 2 = (x + 1)(x + 2) over F_3 is still refused
+    cert["family"]["field"]["tower"] = [[2, 0, 1]]
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) == 2
+    assert "factors over" in capsys.readouterr().err
+
+
+def test_other_moduli_are_built_afresh():
+    # x^2 + x + 2 is irreducible over F_3 but not the smallest, x^2 + 1
+    data = {"p": 3, "tower": [[2, 1, 1]]}
+    cached = extension_field.cache_info().currsize
+    a, b = FieldSpec.from_dict(data), FieldSpec.from_dict(data)
+    assert a == b and a is not b and a != field_from_order(9)
+    assert extension_field.cache_info().currsize == cached
+
+
 def test_pickle_drops_and_rebuilds_tables():
     f9 = field_from_order(9)
     assert f9.mul(5, 7) == pickle.loads(pickle.dumps(f9)).mul(5, 7)

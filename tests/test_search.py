@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -19,7 +20,10 @@ from scidkit.linalg import (
     coordinate_subspace,
     full_subspace,
     intersect,
+    meet_dim,
     projective_points,
+    random_subspace,
+    rref,
 )
 from scidkit.scid import SubspaceFamily, analyze, verify_scid
 from scidkit.search import (
@@ -28,6 +32,7 @@ from scidkit.search import (
     SearchResult,
     gaussian_binomial,
     max_sum_bruteforce,
+    _Tree,
     meeting_subspaces,
     random_scid_search,
 )
@@ -182,6 +187,8 @@ def _reference_max(n, k, t, field, d):
         (2, 3, 1, 3, 4),
         (2, 3, 2, 2, 5),  # t = 2 < k
         (3, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
+        (5, 2, 1, 3, 3),  # n >= 4: the walk builds adjacency rows from shared points
+        (4, 1, 1, 4, 2),  # t = k over F_4: compatible members share no point
     ],
 )
 def test_oracle_matches_reference_search(n, k, t, q, d):
@@ -189,6 +196,48 @@ def test_oracle_matches_reference_search(n, k, t, q, d):
     res = max_sum_bruteforce(n, k, t, field, d)
     assert (res.best_sum, res.witness) == _reference_max(n, k, t, field, d)
     assert res.exhaustive
+
+
+def _sharing(rng, u, shared, field):
+    """A space of u's dimension spanned by `shared` random vectors of u and random others."""
+    d, q = u.ambient_dim, field.order
+    while True:
+        rows = []
+        for _ in range(shared):
+            v = [0] * d
+            for r in u.basis:
+                v = field.sub_multiple(v, field.neg(rng.randrange(q)), r)
+            rows.append(v)
+        rows += [[rng.randrange(q) for _ in range(d)] for _ in range(u.dim - shared)]
+        w = rref(field, d, rows)
+        if w.dim == u.dim:
+            return w
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_shared_points_decide_compatibility_and_span_the_meet(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for k in range(1, 5):
+        d = 2 * k
+        for shared in range(k + 1):
+            u = random_subspace(d, k, field, rng.randrange(10**6))
+            w = _sharing(rng, u, shared, field)
+            dim = meet_dim(u, w)
+            for t in range(1, k + 1):
+                # L becomes (u, w) before the first adj call builds its index
+                tree = _Tree(4, k, t, field, [u])
+                tree.members = (*tree.members[:2], u, w)
+                compatible = bool(tree.adj(2) >> 3 & 1)
+                assert compatible == (dim == k - t), (k, shared, t)
+                assert tree.point_entries == 2 * (q**k - 1) // (q - 1)
+                if compatible:
+                    meet = tree.meet(2, 3)
+                    # k - t points in echelon form with leading ones, spanning u ∩ w
+                    leads = [r.index(1) for r in meet]
+                    assert len(meet) == k - t and leads == sorted(set(leads))
+                    assert not any(any(r[:lead]) for r, lead in zip(meet, leads))
+                    assert rref(field, d, meet) == intersect(u, w)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -219,6 +268,8 @@ def test_three_member_search_tests_no_pair_within_the_candidates():
     assert res.stats.rank_tests == len(meeting_subspaces(5, 3, 1, F2)) - 1
     # the root's intersection, then two per third member visited
     assert res.stats.intersect_calls == 1 + 2 * res.stats.nodes_per_depth[3]
+    # and no adjacency row, so no point of L is listed
+    assert res.stats.point_entries == 0
 
 
 @pytest.mark.parametrize(
@@ -231,6 +282,14 @@ def test_jobs_split_agrees_with_serial_run(n, k, t, d):
         multi = max_sum_bruteforce(n, k, t, F2, d, jobs=jobs)
         assert multi == solo
         assert multi.stats.nodes_per_depth == solo.stats.nodes_per_depth
+
+
+def test_jobs_split_keeps_the_answer_of_a_walk_on_shared_points():
+    solo = max_sum_bruteforce(4, 2, 1, F3, 4)
+    multi = max_sum_bruteforce(4, 2, 1, F3, 4, jobs=2)
+    assert (multi.best_sum, multi.witness) == (solo.best_sum, solo.witness)
+    # each process lists the points of L for its own index
+    assert multi.stats.point_entries == 2 * solo.stats.point_entries > 0
 
 
 def test_search_stats_are_diagnostic_only():
