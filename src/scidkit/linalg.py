@@ -317,13 +317,8 @@ def _meeting_pairs_by_points(spaces: Sequence[Subspace]) -> set[tuple[int, int]]
 
 
 def _meeting_pairs_by_rank(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
-    held = [Echelon.of(s) for s in spaces]
-    pairs = set()
-    for i, j in combinations(range(len(spaces)), 2):
-        ech = held[i].copy()
-        if not all(ech.insert(r) for r in spaces[j].basis):
-            pairs.add((i, j))
-    return pairs
+    pairs = combinations(range(len(spaces)), 2)
+    return {(i, j) for i, j in pairs if meet_dim(spaces[i], spaces[j])}
 
 
 def meeting_pairs(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
@@ -342,9 +337,8 @@ def meeting_pairs(spaces: Sequence[Subspace]) -> set[tuple[int, int]]:
       c_j = a_j.  Coordinates in a basis are unique, so it is listed once.
       A dict from point to the spaces listed so far then yields (i, j) for
       every j that lists a point some earlier i listed, and no other pair.
-    * Rank.  The spaces a and b meet exactly when rank [a; b] <
-      dim a + dim b.  b's rows are independent, so that is exactly when one
-      of them fails to raise the rank of a copy of a's accumulator.
+    * Rank.  The spaces a and b meet exactly when :func:`meet_dim` is
+      nonzero.
 
     The point route lists the sum of theta(dim s) = (q^dim - 1)/(q - 1)
     vectors; the rank route inserts each space's rows once per earlier

@@ -155,11 +155,15 @@ class SearchStats:
     cut short, by reason: "bound" when the best sum found equals the proven
     bound, "optimism" when a node's optimistic sum is no better than the
     best.  candidates is |L|, the members left to choose from once the first
-    two are fixed (see :func:`max_sum_bruteforce`).  rank_tests counts the
-    compatibility tests with c*, intersect_calls the intersection bases
-    built with index 0 or c* for the members the walk chose, and
-    point_entries the (point, member) entries of the index of L's
-    projective points that adjacency rows are read from (see :class:`_Tree`).
+    two are fixed (see :func:`max_sum_bruteforce`).  The other counts are
+    read off what the search holds when it ends (see :class:`_Tree`):
+    rank_tests, the compatibility tests with c*, is one per k-space after
+    c* that meets index 0; intersect_calls is the number of intersection
+    bases kept with index 0 or c*; point_entries is the number of
+    (point, member) entries in the index of L's projective points that
+    adjacency rows are read from.  With jobs > 1 each process builds its
+    own meet of 0 and c* and its own index, so intersect_calls grows by one
+    per process after the first and point_entries adds up over them.
     """
 
     nodes_per_depth: dict[int, int]
@@ -218,13 +222,13 @@ class _Tree:
     position there.  meet(i, j), for i < j, is a basis of the intersection
     of members i and j, and bit i of adj(j) is set when i > j and members i
     and j are compatible; the walk asks adj only of members of L.  Both are
-    computed on first use and kept.  Compatibility with c* is a rank test
-    (rank_tests counts them), and a meet with 0 or c* is an intersection
-    (intersect_calls).  Within L, both come from one index that maps each
+    computed on first use and kept, in _meets and _adj, and the search's
+    statistics are read off these tables (see :class:`SearchStats`).
+    Compatibility with c* is a rank test, and a meet with 0 or c* is an
+    intersection.  Within L, both come from one index that maps each
     projective point (see :func:`~scidkit.linalg.projective_points`) to the
-    members of L containing it, built on the first adj call, so a
-    three-member search lists no point; point_entries counts its
-    (point, member) entries.
+    members of L containing it, kept in _points and _owners and built on the
+    first adj call, so a three-member search lists no point.
 
     * Test.  Every nonzero vector of a space is a multiple of exactly one of
       its points, so two k-spaces share exactly the points of their
@@ -242,35 +246,23 @@ class _Tree:
     """
 
     def __init__(self, n: int, k: int, t: int, field: FieldSpec, with_0: list[Subspace]):
-        self.n, self.k, self.t = n, k, t
+        self.n = n
         self.step = t + min(t, k - t)
         self.bound = best_bound(ScidParams(n, k, t)).best
-        self.rank_tests = self.intersect_calls = self.point_entries = 0
         self._meets: dict[tuple[int, int], tuple] = {}
         self._adj: dict[int, int] = {}
         self._owners: dict[tuple[int, ...], list[int]] | None = None
         self._points: dict[int, dict[tuple[int, ...], None]] = {}
         self._theta = (field.order ** (k - t) - 1) // (field.order - 1)  # theta(k - t)
-        c_star = Echelon.of(with_0[0])
         self.members = (
             coordinate_subspace(field, with_0[0].ambient_dim, range(k)),
             with_0[0],
-            *(w for w in with_0[1:] if self.compatible(c_star, w)),
+            *(w for w in with_0[1:] if meet_dim(with_0[0], w) == k - t),
         )
-        self.meet(0, 1)
-
-    def compatible(self, u: Echelon, w: Subspace) -> bool:
-        """dim(U ∩ W) = k - t, i.e. rank [U; W] = k + t, for u holding U."""
-        self.rank_tests += 1
-        both = u.copy()
-        for row in w.basis:
-            both.insert(row)
-        return both.rank == self.k + self.t
 
     def meet(self, i: int, j: int) -> tuple:
         if (i, j) not in self._meets:
             if i < 2:
-                self.intersect_calls += 1
                 self._meets[i, j] = intersect(self.members[i], self.members[j]).basis
             else:  # both in L, so adj(i) has built the index
                 points_i = self._points[i]
@@ -289,7 +281,6 @@ class _Tree:
                     points = self._points[m] = dict.fromkeys(projective_points(self.members[m]))
                     for p in points:
                         self._owners.setdefault(p, []).append(m)
-                    self.point_entries += len(points)
             shared: Counter[int] = Counter()
             for p in self._points[j]:
                 owners = self._owners[p]
@@ -306,14 +297,15 @@ def _walk(payload):
     """DFS of a _Tree, over the third members at positions 2 + part, 2 + part + parts, ...
 
     Returns (best_sum, best positions, nodes per depth below the root,
-    prunes by reason, rank tests, intersect calls, point entries); the
-    caller counts the root, which every part shares, once.  A member chosen
-    at depth n is a leaf: its two ranks are compared with the best sum on
-    the spot.
+    prunes by reason, counts); the caller counts the root, which every part
+    shares, once.  counts holds intersect_calls and point_entries (see
+    :class:`SearchStats`) as the walk leaves the tree, which is handed over
+    holding no meet and no index, so no process counts another's.  A member
+    chosen at depth n is a leaf: its two ranks are compared with the best
+    sum on the spot.
     """
     tree, part, parts = payload
     n, step, bound = tree.n, tree.step, tree.bound
-    tests, calls, entries = tree.rank_tests, tree.intersect_calls, tree.point_entries
     best_sum: int | None = None
     best: tuple[int, ...] | None = None
     nodes = dict.fromkeys(range(2, n + 1), 0)
@@ -364,8 +356,18 @@ def _walk(payload):
     else:
         dealt = sum(1 << j for j in range(2 + part, size, parts))
         extend(2, (1 << size) - 4, dealt, s_root, i_root)  # candidates: positions 2.. (all of L)
-    return (best_sum, best, nodes, prunes, tree.rank_tests - tests,
-            tree.intersect_calls - calls, tree.point_entries - entries)
+    counts = Counter(
+        intersect_calls=sum(i < 2 for i, _ in tree._meets),
+        point_entries=sum(map(len, tree._points.values())),
+    )
+    return best_sum, best, nodes, prunes, counts
+
+
+def _check_family_dims(n: int, k: int, t: int) -> None:
+    if n < 2:
+        raise BadDims(f"n must be >= 2, got {n}")
+    if not 1 <= t <= k:
+        raise BadDims(f"need 1 <= t <= k, got t={t}, k={k}")
 
 
 def max_sum_bruteforce(
@@ -431,56 +433,50 @@ def max_sum_bruteforce(
     compatible with it, so a node's candidate set is the AND of its
     members' masks.  Masks and intersection bases are built when the walk
     first needs them, those within L from shared projective points (see
-    :class:`_Tree`), so a walk that stops at depth 3 tests no pair within L.  jobs > 1 deals the third member's positions in
-    L round-robin to that many processes; each walks its subtrees on its own
-    and the merge keeps the largest sum, then the least tuple, so best_sum
-    and the witness do not depend on jobs.  A process prunes only against
-    its own best sum, so explored and the node counts can.
+    :class:`_Tree`), so a walk that stops at depth 3 tests no pair within L.
+    jobs must be at least 1, and jobs > 1 deals the third member's positions
+    in L round-robin to that many processes; each walks its subtrees on its
+    own and the merge keeps the largest sum, then the least tuple, so
+    best_sum and the witness do not depend on jobs.  A process prunes only
+    against its own best sum, so explored and the node counts can differ.
     """
-    if n < 2:
-        raise BadDims(f"n must be >= 2, got {n}")
-    if not 1 <= t <= k:
-        raise BadDims(f"need 1 <= t <= k, got t={t}, k={k}")
+    _check_family_dims(n, k, t)
+    if jobs < 1:
+        raise BadDims(f"jobs must be >= 1, got {jobs}")
     start = perf_counter()
-    nodes = dict.fromkeys(range(2, n + 1), 0)
-    prunes = dict.fromkeys(PRUNE_REASONS, 0)
+    nodes = Counter(dict.fromkeys(range(2, n + 1), 0))
+    prunes = Counter(dict.fromkeys(PRUNE_REASONS, 0))
+    counts: Counter[str] = Counter()
+    best_sum, best, witness, candidates = None, None, None, 0
     with_0 = meeting_subspaces(d, k, t, field)
-    if not with_0:
-        stats = SearchStats(nodes, prunes, 0, 0, 0, 0, perf_counter() - start)
-        return SearchResult(None, None, 0, True, stats)
-    tree = _Tree(n, k, t, field, with_0)
-    nodes[2] = 1
-    rank_tests, calls, entries = tree.rank_tests, tree.intersect_calls, tree.point_entries
+    if with_0:
+        tree = _Tree(n, k, t, field, with_0)
+        candidates = len(tree.members) - 2
+        nodes[2] = 1
+        parts = min(jobs, candidates) if n > 2 else 1
+        if parts <= 1:
+            walks = [_walk((tree, 0, 1))]
+        else:
+            from multiprocessing import get_context
 
-    parts = min(jobs, len(tree.members) - 2) if n > 2 else 1
-    if parts <= 1:
-        walks = [_walk((tree, 0, 1))]
-    else:
-        from multiprocessing import get_context
-
-        try:
-            ctx = get_context("fork")
-        except ValueError:
-            ctx = get_context("spawn")
-        with ctx.Pool(processes=parts) as pool:
-            walks = pool.map(_walk, [(tree, p, parts) for p in range(parts)])
-
-    best_sum, best = None, None
-    for b, w, walk_nodes, walk_prunes, walk_tests, walk_calls, walk_entries in walks:
-        for m, c in walk_nodes.items():
-            nodes[m] += c
-        for r, c in walk_prunes.items():
-            prunes[r] += c
-        rank_tests += walk_tests
-        calls += walk_calls
-        entries += walk_entries
-        if b is not None and (best_sum is None or b > best_sum or (b == best_sum and w < best)):
-            best_sum, best = b, w
-    witness = None
-    if best is not None:
-        witness = SubspaceFamily(field, d, tuple(tree.members[j] for j in best))
-    elapsed = perf_counter() - start
-    stats = SearchStats(nodes, prunes, len(tree.members) - 2, rank_tests, calls, entries, elapsed)
+            try:
+                ctx = get_context("fork")
+            except ValueError:
+                ctx = get_context("spawn")
+            with ctx.Pool(processes=parts) as pool:
+                walks = pool.map(_walk, [(tree, p, parts) for p in range(parts)])
+        for b, w, walk_nodes, walk_prunes, walk_counts in walks:
+            nodes.update(walk_nodes)
+            prunes.update(walk_prunes)
+            counts.update(walk_counts)
+            if b is not None and (best_sum is None or b > best_sum or (b == best_sum and w < best)):
+                best_sum, best = b, w
+        if best is not None:
+            witness = SubspaceFamily(field, d, tuple(tree.members[j] for j in best))
+    stats = SearchStats(
+        nodes, prunes, candidates, max(len(with_0) - 1, 0), counts["intersect_calls"],
+        counts["point_entries"], perf_counter() - start,
+    )
     return SearchResult(best_sum, witness, sum(nodes.values()), True, stats)
 
 
@@ -500,12 +496,11 @@ def random_scid_search(
     retry budget.  explored counts completed families.  Never exhaustive.
     With k > d there is no k-space to draw, and the result is empty.
     """
-    if n < 2:
-        raise BadDims(f"n must be >= 2, got {n}")
-    if not 1 <= t <= k:
-        raise BadDims(f"need 1 <= t <= k, got t={t}, k={k}")
+    _check_family_dims(n, k, t)
     if d < 0:
         raise BadDims(f"ambient dimension must be >= 0, got {d}")
+    if iterations < 0:
+        raise BadDims(f"iterations must be >= 0, got {iterations}")
     if k > d:
         return SearchResult(None, None, 0, False)
     rng = Random(seed)

@@ -166,36 +166,51 @@ def _reference_max(n, k, t, field, d):
     return best, witness
 
 
-@pytest.mark.parametrize(
-    "n,k,t,q,d",
-    [
-        (2, 2, 1, 2, 3),
-        (3, 2, 1, 2, 4),
-        (4, 2, 1, 2, 4),
-        (5, 2, 1, 2, 3),
-        (5, 1, 1, 2, 3),
-        (3, 2, 2, 2, 4),  # t = k: pairwise trivial intersections
-        (3, 2, 2, 2, 3),  # no family: 2-spaces of F^3 always meet
-        (2, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
-        (3, 2, 1, 3, 3),
-        (4, 2, 1, 3, 3),
-        (4, 1, 1, 3, 2),
-        (3, 2, 1, 4, 3),
-        (3, 1, 1, 4, 2),
-        (3, 3, 1, 2, 4),  # k = 3
-        (4, 3, 1, 2, 4),
-        (2, 3, 1, 3, 4),
-        (2, 3, 2, 2, 5),  # t = 2 < k
-        (3, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
-        (5, 2, 1, 3, 3),  # n >= 4: the walk builds adjacency rows from shared points
-        (4, 1, 1, 4, 2),  # t = k over F_4: compatible members share no point
-    ],
-)
+REFERENCE_GRID = [
+    (2, 2, 1, 2, 3),
+    (3, 2, 1, 2, 4),
+    (4, 2, 1, 2, 4),
+    (5, 2, 1, 2, 3),
+    (5, 1, 1, 2, 3),
+    (3, 2, 2, 2, 4),  # t = k: pairwise trivial intersections
+    (3, 2, 2, 2, 3),  # no family: 2-spaces of F^3 always meet
+    (2, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
+    (3, 2, 1, 3, 3),
+    (4, 2, 1, 3, 3),
+    (4, 1, 1, 3, 2),
+    (3, 2, 1, 4, 3),
+    (3, 1, 1, 4, 2),
+    (3, 3, 1, 2, 4),  # k = 3
+    (4, 3, 1, 2, 4),
+    (2, 3, 1, 3, 4),
+    (2, 3, 2, 2, 5),  # t = 2 < k
+    (3, 3, 2, 2, 4),  # no family: 3-spaces of F^4 meet in dimension >= 2
+    (5, 2, 1, 3, 3),  # n >= 4: the walk builds adjacency rows from shared points
+    (4, 1, 1, 4, 2),  # t = k over F_4: compatible members share no point
+]
+
+
+@pytest.mark.parametrize("n,k,t,q,d", REFERENCE_GRID)
 def test_oracle_matches_reference_search(n, k, t, q, d):
     field = field_from_order(q)
     res = max_sum_bruteforce(n, k, t, field, d)
     assert (res.best_sum, res.witness) == _reference_max(n, k, t, field, d)
     assert res.exhaustive
+
+
+@pytest.mark.parametrize("n,k,t,q,d", REFERENCE_GRID)
+def test_search_stats_match_the_sizes_the_search_holds(n, k, t, q, d):
+    field = field_from_order(q)
+    stats = max_sum_bruteforce(n, k, t, field, d).stats
+    listed = len(meeting_subspaces(d, k, t, field))
+    # one rank test per k-space after c* that meets index 0
+    assert stats.rank_tests == max(listed - 1, 0)
+    # from n = 4 the first adjacency row lists the theta(k) points of all of L
+    theta_k = (q**k - 1) // (q - 1)
+    assert stats.point_entries == (stats.candidates * theta_k if n >= 4 else 0)
+    if n == 3 and listed:
+        # the root's meet, then one with each of 0 and c* per third member
+        assert stats.intersect_calls == 1 + 2 * stats.nodes_per_depth[3]
 
 
 def _sharing(rng, u, shared, field):
@@ -230,7 +245,7 @@ def test_shared_points_decide_compatibility_and_span_the_meet(q):
                 tree.members = (*tree.members[:2], u, w)
                 compatible = bool(tree.adj(2) >> 3 & 1)
                 assert compatible == (dim == k - t), (k, shared, t)
-                assert tree.point_entries == 2 * (q**k - 1) // (q - 1)
+                assert sum(map(len, tree._points.values())) == 2 * (q**k - 1) // (q - 1)
                 if compatible:
                     meet = tree.meet(2, 3)
                     # k - t points in echelon form with leading ones, spanning u ∩ w
@@ -356,6 +371,20 @@ def test_exact_maximum_record_reproduces_and_verifies(name, tmp_path, capsys):
     assert main(["verify", str(family)]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert (report["is_scid"], report["t"], report["sum"]) == (True, t, res.best_sum)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--jobs", "0"), "jobs must be >= 1, got 0"),
+        (("--jobs", "-3"), "jobs must be >= 1, got -3"),
+        (("--random", "--iters", "-5"), "iterations must be >= 0, got -5"),
+    ],
+)
+def test_search_rejects_counts_below_their_least(capsys, args, message):
+    code = main(["search", "--n", "3", "--k", "2", "--t", "1", "--q", "2", "--d", "4", *args])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_oracle_rejects_bad_parameters():
