@@ -7,8 +7,8 @@ Five subcommands:
   measured intersection report, and the bound comparison, as canonical JSON
   (sorted keys, no whitespace).  ``--check`` re-verifies the result and
   fails loudly on any mismatch.
-* ``verify``: recompute everything a certificate claims and diff it, or
-  analyze a bare family.
+* ``verify``: recompute what a certificate claims, all but its trace's
+  blocks, and diff it, or analyze a bare family.
 * ``bounds``: the proven upper bounds for (n, k, t).
 * ``spectrum``: which values of dim S + dim I the constructions realize.
 * ``search``: brute-force or randomized search at small parameters.
@@ -145,6 +145,7 @@ def _verify_certificate(data: dict) -> int:
         ("family", data["family"], family.to_dict()),
         ("report", data.get("report"), report.to_dict()),
         ("bounds", data.get("bounds"), recomputed_bounds),
+        ("params", data["params"], _certified_params(data["trace"], family, report)),
     ]
     mismatches = [
         {"path": path, "stored": stored, "recomputed": fresh}
@@ -156,6 +157,29 @@ def _verify_certificate(data: dict) -> int:
         return 1
     print(canonical_dumps({"ok": True, "sum": report.sum}))
     return 0
+
+
+def _certified_params(trace: dict, family: SubspaceFamily, report) -> dict | None:
+    """The params a certificate of this family and trace must store, or None.
+
+    n, k, t and q are measured; the kind's other parameters are the trace's.
+    None when the family has no constant intersection dimension, the trace's
+    kind is unknown, its parameters are not these integers, or the kind's
+    closed form misses the measured sum.  The trace's blocks are not
+    re-derived here: ``construct --check`` checks them.
+    """
+    kind, parameters = trace["kind"], trace["parameters"]
+    if not report.is_scid or kind not in CONSTRUCTIONS or not isinstance(parameters, dict):
+        return None
+    extra = {name: parameters.get(name) for name in CONSTRUCTIONS[kind].params}
+    params = {"n": report.n, "k": report.k, "t": report.t, "q": family.field.order, **extra}
+    if canonical_dumps(parameters) != canonical_dumps(params):
+        return None
+    if any(type(value) is not int for value in extra.values()):
+        return None
+    if expected_sum(kind, report.n, report.k, report.t, **extra) != report.sum:
+        return None
+    return params
 
 
 def _verify_bare_family(data: dict) -> int:
@@ -312,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search families in F_q^d")
     common(p)
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for brute force")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for brute force, at most one per CPU and one per candidate",
+    )
     p.add_argument("--random", action="store_true", help="randomized search instead of brute force")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=100)

@@ -13,10 +13,10 @@ Four builders, each returning (family, trace):
   obtained by expanding lines over a degree-t extension field, to a
   sunflower summing to 2k + (n-2)t - eta*t + eps.
 
-Everything in the first three builders is a span of standard coordinates, so
-the intersection pattern is exact bookkeeping; the analysis in
-:mod:`scidkit.scid` re-derives it independently.  Traces expose every block
-by name for re-verification.
+Every member of the first three builders is a union of named, disjoint
+blocks of standard coordinates, so the intersection pattern is exact
+bookkeeping; the analysis in :mod:`scidkit.scid` re-derives it
+independently.  Traces expose every block by name for re-verification.
 """
 
 from __future__ import annotations
@@ -193,41 +193,59 @@ def _sunflower_lines(q: int, t: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coordinate-block layout shared by the glued constructions
+# named coordinate blocks shared by the glued constructions
 # ---------------------------------------------------------------------------
 
 
-def _max_layout(n: int, k: int, t: int):
-    """Disjoint coordinate blocks: one per member pair, one per member."""
-    u = k - (n - 1) * (k - t)
-    cursor = 0
-    pair: dict[tuple[int, int], list[int]] = {}
+class _Blocks(dict):
+    """Named lists of standard coordinates, the blocks of a glued family.
+
+    :meth:`take` puts a new block on the next free coordinates, so the
+    blocks it makes are disjoint and ``size`` is the ambient dimension.
+    Entries set directly (a prefix of a block, say) allocate nothing.
+    """
+
+    size = 0
+
+    def take(self, label: str, size: int) -> None:
+        self[label] = list(range(self.size, self.size + size))
+        self.size += size
+
+
+def _union(blocks: dict, *labels: str) -> list:
+    """The entries of the labelled blocks in turn: coordinates, or basis rows."""
+    return [x for label in labels for x in blocks[label]]
+
+
+def _pair(i: int, j: int) -> str:
+    """The label of the block shared by members i and j."""
+    return f"V_{min(i, j)}_{max(i, j)}"
+
+
+def _max_blocks(n: int, k: int, t: int) -> _Blocks:
+    """V_i_j of dimension k - t for every member pair, then U_i for every member."""
+    blocks = _Blocks()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            pair[(i, j)] = list(range(cursor, cursor + (k - t)))
-            cursor += k - t
-    priv: dict[int, list[int]] = {}
+            blocks.take(_pair(i, j), k - t)
     for i in range(1, n + 1):
-        priv[i] = list(range(cursor, cursor + u))
-        cursor += u
-    return pair, priv, cursor
+        blocks.take(f"U_{i}", k - (n - 1) * (k - t))
+    return blocks
 
 
-def _max_member_coords(i: int, n: int, pair, priv) -> list[int]:
-    coords = list(priv[i])
-    for j in range(1, n + 1):
-        if j != i:
-            coords += pair[(min(i, j), max(i, j))]
-    return coords
+def _max_member(blocks: dict, n: int, i: int, skip=()) -> list:
+    """Member i of :func:`construct_max`: U_i and every V_ij with j != i not in skip."""
+    return _union(blocks, f"U_{i}", *(_pair(i, j) for j in range(1, n + 1) if j not in (i, *skip)))
 
 
-def _block_components(field: FieldSpec, ambient: int, pair, priv) -> dict[str, Subspace]:
-    comp = {}
-    for (i, j), coords in pair.items():
-        comp[f"V_{i}_{j}"] = coordinate_subspace(field, ambient, coords)
-    for i, coords in priv.items():
-        comp[f"U_{i}"] = coordinate_subspace(field, ambient, coords)
-    return comp
+def _coordinate_family(kind: str, params: dict, field: FieldSpec, blocks: _Blocks, members, labels):
+    """The family spanned by the members' coordinate lists, traced by the labelled blocks."""
+
+    def span(coords):
+        return coordinate_subspace(field, blocks.size, coords)
+
+    family = SubspaceFamily(field, blocks.size, tuple(map(span, members)))
+    return family, ConstructionTrace(kind, params, {label: span(blocks[label]) for label in labels})
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +262,10 @@ def construct_max(n: int, k: int, t: int, field: FieldSpec):
     coordinates, so pi_i meets pi_j in exactly V_ij.
     """
     _check_glued(n, k, t)
-    pair, priv, ambient = _max_layout(n, k, t)
-    members = tuple(
-        coordinate_subspace(field, ambient, _max_member_coords(i, n, pair, priv))
-        for i in range(1, n + 1)
-    )
-    family = SubspaceFamily(field, ambient, members)
-    trace = ConstructionTrace(
-        kind="max",
-        parameters={"n": n, "k": k, "t": t, "q": field.order},
-        components=_block_components(field, ambient, pair, priv),
-    )
-    return family, trace
+    blocks = _max_blocks(n, k, t)
+    members = [_max_member(blocks, n, i) for i in range(1, n + 1)]
+    params = {"n": n, "k": k, "t": t, "q": field.order}
+    return _coordinate_family("max", params, field, blocks, members, list(blocks))
 
 
 def check_max_conditions(family: SubspaceFamily, trace: ConstructionTrace) -> dict[str, bool]:
@@ -272,40 +282,26 @@ def check_max_conditions(family: SubspaceFamily, trace: ConstructionTrace) -> di
     A family with constant intersection dimension attains sum n*k iff all
     three hold for some choice of blocks.
     """
-    n = family.n
-    k = trace.parameters["k"]
-    t = trace.parameters["t"]
+    n, members = family.n, family.members
+    k, t = trace.parameters["k"], trace.parameters["t"]
     u = k - (n - 1) * (k - t)
-    vee = {}
-    you = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vee[(i, j)] = trace.components[f"V_{i}_{j}"]
-        you[i] = trace.components[f"U_{i}"]
+    comp = trace.components
+    vee = {(i, j): comp[_pair(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    you = {i: comp[f"U_{i}"] for i in range(1, n + 1)}
+    rows = {label: s.basis for label, s in comp.items()}
 
-    members = family.members
     cond1 = all(
         v.dim == meet_dim(members[i - 1], members[j - 1])
         and is_subspace_of(v, members[i - 1])
         and is_subspace_of(v, members[j - 1])
         for (i, j), v in vee.items()
     )
-
-    cond2 = True
-    for i in range(1, n + 1):
-        if you[i].dim != u:
-            cond2 = False
-            break
-        rows = list(you[i].basis)
-        for j in range(1, n + 1):
-            if j != i:
-                rows += list(vee[(min(i, j), max(i, j))].basis)
-        if rref(family.field, family.ambient_dim, rows) != family.members[i - 1]:
-            cond2 = False
-            break
-
-    all_rows = [r for s in vee.values() for r in s.basis]
-    all_rows += [r for s in you.values() for r in s.basis]
+    cond2 = all(
+        you[i].dim == u
+        and rref(family.field, family.ambient_dim, _max_member(rows, n, i)) == members[i - 1]
+        for i in range(1, n + 1)
+    )
+    all_rows = [r for s in (*vee.values(), *you.values()) for r in s.basis]
     span_dim = rref(family.field, family.ambient_dim, all_rows).dim
     cond3 = span_dim == n * u + n * (n - 1) // 2 * (k - t)
 
@@ -329,13 +325,9 @@ def derive_max_components(family: SubspaceFamily) -> ConstructionTrace:
     if len(meet_dims) != 1:
         raise PreconditionViolated("component derivation needs constant intersection dimension")
     n, t = family.n, k - meet_dims.pop()
-    inters = {(i + 1, j + 1): s for (i, j), s in pairs.items()}
-    comp: dict[str, Subspace] = {f"V_{i}_{j}": s for (i, j), s in inters.items()}
+    comp: dict[str, Subspace] = {_pair(i + 1, j + 1): s for (i, j), s in pairs.items()}
     for i in range(1, n + 1):
-        rows = []
-        for j in range(1, n + 1):
-            if j != i:
-                rows += list(inters[(min(i, j), max(i, j))].basis)
+        rows = [r for j in range(1, n + 1) if j != i for r in comp[_pair(i, j)].basis]
         inner = rref(family.field, family.ambient_dim, rows)
         comp[f"U_{i}"] = complement_within(inner, family.members[i - 1])
     return ConstructionTrace(
@@ -368,39 +360,19 @@ def construct_spectrum1(n: int, k: int, t: int, field: FieldSpec, eps: int = 0):
         return family, ConstructionTrace("spectrum1", params, base_trace.components)
     _require(n >= 3, f"n >= 3 fails for eps > 0: n={n}")
 
-    pair, priv, cursor = _max_layout(n, k, t)
-    fresh: dict[int, list[int]] = {}
-    for label in (1, 2, n):
-        fresh[label] = list(range(cursor, cursor + eps))
-        cursor += eps
-    ambient = cursor
-
-    e_coords = pair[(1, n)][:eps]
-    d1_coords = pair[(1, 2)][: k - t - eps]
-    d2_coords = pair[(2, n)][: k - t - eps]
-
-    m1 = priv[1] + d1_coords + fresh[1]
-    for j in range(3, n + 1):
-        m1 += pair[(1, j)]
-    m2 = priv[2] + e_coords + d1_coords + d2_coords + fresh[2]
-    for j in range(3, n):
-        m2 += pair[(2, j)]
-    middle = [_max_member_coords(j, n, pair, priv) for j in range(3, n)]
-    mn = priv[n] + d2_coords + fresh[n] + pair[(1, n)]
-    for j in range(3, n):
-        mn += pair[(j, n)]
-
-    coord_sets = [m1, m2, *middle, mn]
-    members = tuple(coordinate_subspace(field, ambient, cs) for cs in coord_sets)
-    family = SubspaceFamily(field, ambient, members)
-
-    comp = _block_components(field, ambient, pair, priv)
-    comp["E"] = coordinate_subspace(field, ambient, e_coords)
-    comp["D_1"] = coordinate_subspace(field, ambient, d1_coords)
-    comp["D_2"] = coordinate_subspace(field, ambient, d2_coords)
-    for label in (1, 2, n):
-        comp[f"P_{label}"] = coordinate_subspace(field, ambient, fresh[label])
-    return family, ConstructionTrace("spectrum1", params, comp)
+    blocks = _max_blocks(n, k, t)
+    for i in (1, 2, n):
+        blocks.take(f"P_{i}", eps)
+    blocks["E"] = blocks[_pair(1, n)][:eps]
+    blocks["D_1"] = blocks[_pair(1, 2)][: k - t - eps]
+    blocks["D_2"] = blocks[_pair(2, n)][: k - t - eps]
+    members = [
+        _max_member(blocks, n, 1, skip=(2,)) + _union(blocks, "D_1", "P_1"),
+        _max_member(blocks, n, 2, skip=(1, n)) + _union(blocks, "E", "D_1", "D_2", "P_2"),
+        *(_max_member(blocks, n, j) for j in range(3, n)),
+        _max_member(blocks, n, n, skip=(2,)) + _union(blocks, "D_2", f"P_{n}"),
+    ]
+    return _coordinate_family("spectrum1", params, field, blocks, members, list(blocks))
 
 
 def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps: int = 0):
@@ -410,7 +382,10 @@ def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     D in place of their pairwise blocks, compensated by private blocks P_i of
     dimension (k-t)(eta-2); eta = 2 delegates to :func:`construct_spectrum1`.
     eps in [0, k - t] additionally shrinks the glued intersections onto an
-    eps-dimensional part E of D, exactly as in spectrum1.
+    eps-dimensional part E of D, exactly as in spectrum1: member eta keeps
+    only the first k - t - eps coordinates D_i of its block shared with
+    glued member i and gains (eta-1)*eps fresh directions Y, while each
+    glued member gains eps fresh directions X_i.
     """
     _check_glued(n, k, t)
     _require(2 <= eta <= n - 1, f"2 <= eta <= n-1 fails: eta={eta}, n={n}")
@@ -420,62 +395,34 @@ def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
         family, base_trace = construct_spectrum1(n, k, t, field, eps)
         return family, ConstructionTrace("spectrum2", params, base_trace.components)
 
-    glued = list(range(1, eta)) + [n]
-    pair, priv, cursor = _max_layout(n, k, t)
-    pdim = (k - t) * (eta - 2)
-    fresh_p: dict[int, list[int]] = {}
+    glued = (*range(1, eta), n)
+    blocks = _max_blocks(n, k, t)
     for i in glued:
-        fresh_p[i] = list(range(cursor, cursor + pdim))
-        cursor += pdim
-    fresh_x: dict[int, list[int]] = {}
+        blocks.take(f"P_{i}", (k - t) * (eta - 2))
+    blocks["D"] = blocks[_pair(1, n)]
+    labels = list(blocks)  # the blocks below are traced only when eps > 0
     for i in glued:
-        fresh_x[i] = list(range(cursor, cursor + eps))
-        cursor += eps
-    y_coords = list(range(cursor, cursor + (eta - 1) * eps))
-    ambient = cursor + (eta - 1) * eps
-
-    d_coords = pair[(1, n)]
-    coord_sets: list[list[int]] = []
-    comp = _block_components(field, ambient, pair, priv)
-    comp["D"] = coordinate_subspace(field, ambient, d_coords)
+        blocks.take(f"X_{i}", eps)
+    blocks.take("Y", (eta - 1) * eps)
+    blocks["E"] = blocks["D"][:eps]
     for i in glued:
-        comp[f"P_{i}"] = coordinate_subspace(field, ambient, fresh_p[i])
+        blocks[f"D_{i}"] = blocks[_pair(i, eta)][: k - t - eps]
 
-    e_coords = d_coords[:eps]
-    shrunk: dict[int, list[int]] = {
-        i: pair[(i, eta)][: k - t - eps] for i in range(1, eta)
-    }
-    shrunk[n] = pair[(eta, n)][: k - t - eps]
-    for i in range(1, eta):
-        ci = priv[i] + d_coords + shrunk[i] + fresh_p[i] + fresh_x[i]
-        for j in range(eta + 1, n):
-            ci += pair[(i, j)]
-        coord_sets.append(ci)
-    ceta = priv[eta] + e_coords + y_coords
-    for i in range(1, eta):
-        ceta += shrunk[i]
-    ceta += shrunk[n]
-    for j in range(eta + 1, n):
-        ceta += pair[(eta, j)]
-    coord_sets.append(ceta)
-    for j in range(eta + 1, n):
-        coord_sets.append(_max_member_coords(j, n, pair, priv))
-    cn = priv[n] + d_coords + shrunk[n] + fresh_p[n] + fresh_x[n]
-    for j in range(eta + 1, n):
-        cn += pair[(j, n)]
-    coord_sets.append(cn)
-    if eps:
-        comp["E"] = coordinate_subspace(field, ambient, e_coords)
-        for i in range(1, eta):
-            comp[f"D_{i}"] = coordinate_subspace(field, ambient, shrunk[i])
-        comp[f"D_{n}"] = coordinate_subspace(field, ambient, shrunk[n])
-        for i in glued:
-            comp[f"X_{i}"] = coordinate_subspace(field, ambient, fresh_x[i])
-        comp["Y"] = coordinate_subspace(field, ambient, y_coords)
+    def glued_member(i):
+        return _max_member(blocks, n, i, skip=(*glued, eta)) + _union(
+            blocks, "D", f"D_{i}", f"P_{i}", f"X_{i}"
+        )
 
-    members = tuple(coordinate_subspace(field, ambient, cs) for cs in coord_sets)
-    family = SubspaceFamily(field, ambient, members)
-    return family, ConstructionTrace("spectrum2", params, comp)
+    members = [
+        *map(glued_member, glued[:-1]),
+        _max_member(blocks, n, eta, skip=glued)
+        + _union(blocks, "E", "Y", *(f"D_{i}" for i in glued)),
+        *(_max_member(blocks, n, j) for j in range(eta + 1, n)),
+        glued_member(n),
+    ]
+    return _coordinate_family(
+        "spectrum2", params, field, blocks, members, list(blocks) if eps else labels
+    )
 
 
 # ---------------------------------------------------------------------------

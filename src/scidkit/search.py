@@ -161,9 +161,12 @@ class SearchStats:
     c* that meets index 0; intersect_calls is the number of intersection
     bases kept with index 0 or c*; point_entries is the number of
     (point, member) entries in the index of L's projective points that
-    adjacency rows are read from.  With jobs > 1 each process builds its
-    own meet of 0 and c* and its own index, so intersect_calls grows by one
-    per process after the first and point_entries adds up over them.
+    adjacency rows are read from.  With jobs > 1 each process keeps its own
+    tables: the meet of 0 and c*, their meets with every member of L the
+    process visits, and its own index.  So intersect_calls and point_entries
+    add up over the processes, and a member of L that two processes visit
+    is counted twice: at (4,2,1,3,4), 41 intersect_calls with jobs = 1 and
+    80 with jobs = 2.
     """
 
     nodes_per_depth: dict[int, int]
@@ -435,10 +438,12 @@ def max_sum_bruteforce(
     first needs them, those within L from shared projective points (see
     :class:`_Tree`), so a walk that stops at depth 3 tests no pair within L.
     jobs must be at least 1, and jobs > 1 deals the third member's positions
-    in L round-robin to that many processes; each walks its subtrees on its
-    own and the merge keeps the largest sum, then the least tuple, so
-    best_sum and the witness do not depend on jobs.  A process prunes only
-    against its own best sum, so explored and the node counts can differ.
+    in L round-robin to min(jobs, |L|, os.cpu_count() or 1) processes: a
+    CPU-bound walk gains nothing from more processes than CPUs, and each
+    extra process prunes less.  Each walks its subtrees on its own, and
+    the merge keeps the largest sum, then the least tuple, so best_sum and
+    the witness do not depend on jobs.  A process prunes only against its
+    own best sum, so explored and the node counts can differ.
     """
     _check_family_dims(n, k, t)
     if jobs < 1:
@@ -453,7 +458,7 @@ def max_sum_bruteforce(
         tree = _Tree(n, k, t, field, with_0)
         candidates = len(tree.members) - 2
         nodes[2] = 1
-        parts = min(jobs, candidates) if n > 2 else 1
+        parts = min(jobs, candidates, os.cpu_count() or 1) if n > 2 else 1
         if parts <= 1:
             walks = [_walk((tree, 0, 1))]
         else:

@@ -87,8 +87,79 @@ def test_tampered_member_fails_verification(capsys, tmp_path):
     assert code == 1
     diff = json.loads(out)
     assert diff["ok"] is False
-    assert [m["path"] for m in diff["mismatches"]] == ["report"]
+    # the family no longer sums to what max promises at these parameters
+    assert [m["path"] for m in diff["mismatches"]] == ["report", "params"]
     assert diff["mismatches"][0]["recomputed"]["sum"] == 4
+    assert diff["mismatches"][1]["recomputed"] is None
+
+
+def _verify_cert(capsys, monkeypatch, cert):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cert)))
+    code, out, _ = run_cli(capsys, "verify", "-")
+    return code, json.loads(out)
+
+
+def _set(cert, path, value):
+    *head, last = path.split(".")
+    for key in head:
+        cert = cert[key]
+    cert[last] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,recomputed",
+    [
+        ("params.n", 99, {"n": 3, "k": 2, "t": 1, "q": 2}),
+        ("params.q", 3, {"n": 3, "k": 2, "t": 1, "q": 2}),
+        ("params.eps", 0, {"n": 3, "k": 2, "t": 1, "q": 2}),
+        ("trace.parameters.k", 5, None),
+        ("trace.parameters.eps", 0, None),
+        ("trace.kind", "spectrum1", None),
+        ("trace.kind", "cone", None),
+    ],
+)
+def test_verify_checks_params_against_family_and_trace(capsys, monkeypatch, path, value, recomputed):
+    _, out, _ = run_cli(capsys, "construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "2")
+    cert = json.loads(out)
+    _set(cert, path, value)
+    code, verdict = _verify_cert(capsys, monkeypatch, cert)
+    assert code == 1 and verdict["ok"] is False
+    assert [(m["path"], m["recomputed"]) for m in verdict["mismatches"]] == [("params", recomputed)]
+
+
+def test_verify_checks_the_closed_form_of_a_consistent_rewrite(capsys, monkeypatch):
+    """Another family, with its own report and bounds, breaks the sum that params promise."""
+    args = ("construct", "spectrum2", "--n", "4", "--k", "3", "--t", "2", "--q", "2", "--eta", "3")
+    _, out, _ = run_cli(capsys, *args, "--eps", "1")
+    cert = json.loads(out)
+    _, out, _ = run_cli(capsys, *args, "--eps", "0")
+    other = json.loads(out)
+    for key in ("family", "report", "bounds"):
+        cert[key] = other[key]
+    code, verdict = _verify_cert(capsys, monkeypatch, cert)
+    assert code == 1
+    assert [(m["path"], m["recomputed"]) for m in verdict["mismatches"]] == [("params", None)]
+    cert["params"]["eps"] = cert["trace"]["parameters"]["eps"] = 0
+    assert _verify_cert(capsys, monkeypatch, cert) == (0, {"ok": True, "sum": 11})
+
+
+def test_verify_wants_integer_params(capsys, monkeypatch):
+    args = ("construct", "spectrum1", "--n", "3", "--k", "3", "--t", "2", "--q", "2", "--eps", "1")
+    _, out, _ = run_cli(capsys, *args)
+    cert = json.loads(out)
+    # true == 1 in Python, so only the type tells this apart from eps = 1
+    cert["params"]["eps"] = cert["trace"]["parameters"]["eps"] = True
+    code, verdict = _verify_cert(capsys, monkeypatch, cert)
+    assert code == 1
+    assert [(m["path"], m["recomputed"]) for m in verdict["mismatches"]] == [("params", None)]
+
+
+def test_verify_leaves_the_trace_blocks_to_construct_check(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "2")
+    cert = json.loads(out)
+    blocks = cert["trace"]["components"]
+    blocks["V_1_2"], blocks["U_1"] = blocks["U_1"], blocks["V_1_2"]
+    assert _verify_cert(capsys, monkeypatch, cert) == (0, {"ok": True, "sum": 6})
 
 
 def test_tampered_report_fails_verification(capsys, tmp_path):
@@ -129,15 +200,31 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
 
 
 def test_stored_values_nested_to_the_recursion_limit_never_escape(capsys, monkeypatch):
-    """A stored report deep enough to load but not to print back exits 2, not with a traceback."""
+    """A stored report deep enough to load but not to print back exits 2, not with a traceback.
+
+    How deep json nests depends on the interpreter: up to Python 3.11 it is
+    bound by the recursion limit, from 3.12 by a limit of its own.  So the
+    test first finds the deepest report that verify can load, then probes
+    the depths just below and just above it.
+    """
     _, out, _ = run_cli(capsys, "construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "2")
     head = out.strip()[:-1].replace('"report":', '"stale":')
-    limit = sys.getrecursionlimit()
-    codes = set()
-    for depth in range(limit - 150, limit + 1):
+
+    def verify(depth):
         nested = "[" * depth + "]" * depth
         monkeypatch.setattr(sys, "stdin", io.StringIO(f'{head},"report":{nested}}}'))
-        code, out, _ = run_cli(capsys, "verify", "-")
+        return run_cli(capsys, "verify", "-")
+
+    loadable, unloadable = 1, 100_000
+    while unloadable - loadable > 1:
+        depth = (loadable + unloadable) // 2
+        if "unreadable input" in verify(depth)[2]:
+            unloadable = depth
+        else:
+            loadable = depth
+    codes = set()
+    for depth in range(loadable - 20, unloadable + 1):
+        code, out, _ = verify(depth)
         assert (code, bool(out)) in {(1, True), (2, False)}, depth
         codes.add(code)
     assert codes == {1, 2}

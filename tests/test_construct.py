@@ -1,5 +1,7 @@
 """Constructions: golden families, dimension sweeps, reductions, lifts."""
 
+import hashlib
+import json
 from itertools import combinations, product
 
 import pytest
@@ -400,3 +402,21 @@ def test_trace_serialization():
     assert d["kind"] == "max"
     assert d["parameters"] == {"n": 3, "k": 2, "t": 1, "q": 2}
     assert list(d["components"]) == sorted(d["components"])
+
+
+# sha256 of the glued families and traces below, recorded before their
+# builders were rewritten as unions of named coordinate blocks
+GLUED_DIGEST = "99b3db600704b1ac1456e94c8c7c9168e7ce3c1a68a05c193b80bfc31410281e"
+
+
+def test_glued_constructions_keep_their_bytes():
+    digest = hashlib.sha256()
+    builds = 0
+    for kind, q, n, k in product(("max", "spectrum1", "spectrum2"), (2, 3), range(2, 8), range(1, 8)):
+        entry, field = CONSTRUCTIONS[kind], field_from_order(q)
+        for t in range(1, k + 1):
+            for params in entry.settings(n, k, t, q):
+                family, trace = entry.build(n, k, t, field, **params)
+                digest.update(json.dumps([family.to_dict(), trace.to_dict()], sort_keys=True).encode())
+                builds += 1
+    assert (builds, digest.hexdigest()) == (530, GLUED_DIGEST)

@@ -1,12 +1,14 @@
 """Enumeration order, counting, and the brute-force oracle."""
 
 import json
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -291,7 +293,8 @@ def test_three_member_search_tests_no_pair_within_the_candidates():
     "n,k,t,d",
     [(2, 2, 1, 3), (4, 2, 1, 4), (2, 3, 2, 4)],  # n = 2, n >= 4, no family
 )
-def test_jobs_split_agrees_with_serial_run(n, k, t, d):
+def test_jobs_split_agrees_with_serial_run(monkeypatch, n, k, t, d):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     solo = max_sum_bruteforce(n, k, t, F2, d)
     for jobs in (2, 3):
         multi = max_sum_bruteforce(n, k, t, F2, d, jobs=jobs)
@@ -299,12 +302,50 @@ def test_jobs_split_agrees_with_serial_run(n, k, t, d):
         assert multi.stats.nodes_per_depth == solo.stats.nodes_per_depth
 
 
-def test_jobs_split_keeps_the_answer_of_a_walk_on_shared_points():
+def test_jobs_split_keeps_the_answer_of_a_walk_on_shared_points(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     solo = max_sum_bruteforce(4, 2, 1, F3, 4)
     multi = max_sum_bruteforce(4, 2, 1, F3, 4, jobs=2)
     assert (multi.best_sum, multi.witness) == (solo.best_sum, solo.witness)
     # each process lists the points of L for its own index
     assert multi.stats.point_entries == 2 * solo.stats.point_entries > 0
+
+
+def test_intersect_calls_add_up_over_the_processes(monkeypatch):
+    # each process keeps its meet of the first two members and their meets
+    # with every candidate it visits: 1 + 2 * 20 alone, and 2 + 2 * 39 when
+    # two processes visit the 20 candidates 39 times between them
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = [max_sum_bruteforce(4, 2, 1, F3, 4, jobs=jobs).stats.intersect_calls for jobs in (1, 2)]
+    assert calls == [41, 80]
+
+
+@pytest.mark.parametrize("cpus,sizes", [(2, [2]), (64, [20]), (None, [])])
+def test_jobs_are_capped_by_the_cpu_count(monkeypatch, cpus, sizes):
+    started = []
+
+    class Pool:
+        """Records its size and walks the parts in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            return list(map(fn, parts))
+
+    solo = max_sum_bruteforce(4, 2, 1, F3, 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: SimpleNamespace(Pool=Pool))
+    multi = max_sum_bruteforce(4, 2, 1, F3, 4, jobs=5000)
+    # at most one process per CPU, and per candidate: 20 here
+    assert started == sizes
+    assert (multi.best_sum, multi.witness) == (solo.best_sum, solo.witness)
 
 
 def test_search_stats_are_diagnostic_only():
