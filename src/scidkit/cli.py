@@ -28,7 +28,7 @@ from functools import cache
 
 from . import __version__
 from .bounds import NotApplicable, ScidParams, best_bound, check_family
-from .construct import CONSTRUCTIONS, ConstructionTrace, PreconditionViolated, expected_sum
+from .construct import CONSTRUCTIONS, ConstructionTrace, PreconditionViolated, _kind_params
 from .gf import FieldError, field_from_order
 from .scid import SubspaceFamily, analyze
 from .search import CapExceeded, max_sum_bruteforce, random_scid_search
@@ -70,21 +70,10 @@ def _certificate(family: SubspaceFamily, trace: ConstructionTrace, report, args)
     }
 
 
-def _construction_params(args) -> dict:
-    """The --eta/--eps values the kind takes; --eps defaults to 0, --eta is required."""
-    takes = CONSTRUCTIONS[args.kind].params
-    for name in ("eta", "eps"):
-        if getattr(args, name) is not None and name not in takes:
-            raise PreconditionViolated(f"{args.kind} takes no --{name}")
-    if "eta" in takes and args.eta is None:
-        raise PreconditionViolated(f"{args.kind} requires --eta")
-    return {name: getattr(args, name) or 0 for name in takes}
-
-
 def _cmd_construct(args) -> int:
     field = field_from_order(args.q)
     entry = CONSTRUCTIONS[args.kind]
-    params = _construction_params(args)
+    params = _kind_params(args.kind, {"eta": args.eta, "eps": args.eps}, "--")
     family, trace = entry.build(args.n, args.k, args.t, field, **params)
 
     report = analyze(family)
@@ -93,7 +82,7 @@ def _cmd_construct(args) -> int:
 
     if args.check:
         ok = report.is_scid and report.k == args.k and report.t == args.t
-        want = expected_sum(args.kind, args.n, args.k, args.t, **params)
+        want = entry.closed_form(args.n, args.k, args.t, **params)
         ok = ok and report.sum == want
         ok = ok and not cert["bounds"]["violation"]
         if entry.check is not None:
@@ -171,13 +160,14 @@ def _certified_params(trace: dict, family: SubspaceFamily, report) -> dict | Non
     kind, parameters = trace["kind"], trace["parameters"]
     if not report.is_scid or kind not in CONSTRUCTIONS or not isinstance(parameters, dict):
         return None
-    extra = {name: parameters.get(name) for name in CONSTRUCTIONS[kind].params}
+    entry = CONSTRUCTIONS[kind]
+    extra = {name: parameters.get(name) for name in entry.params}
     params = {"n": report.n, "k": report.k, "t": report.t, "q": family.field.order, **extra}
     if canonical_dumps(parameters) != canonical_dumps(params):
         return None
     if any(type(value) is not int for value in extra.values()):
         return None
-    if expected_sum(kind, report.n, report.k, report.t, **extra) != report.sum:
+    if entry.closed_form(report.n, report.k, report.t, **extra) != report.sum:
         return None
     return params
 
@@ -223,7 +213,7 @@ def _cmd_spectrum(args) -> int:
         for params in entry.settings(n, k, t, q):
             family, _ = entry.build(n, k, t, field, **params)
             total = analyze(family).sum
-            want = expected_sum(kind, n, k, t, **params)
+            want = entry.closed_form(n, k, t, **params)
             if total != want:
                 print(
                     f"spectrum self-check failed: {kind} eta={params.get('eta')} "
@@ -254,11 +244,7 @@ def _cmd_spectrum(args) -> int:
     print(f"{'sum':<5} {'construction':<12} {'parameters':<16} condition")
     for v in sums:
         e = achieved[v]
-        parts = []
-        if "eta" in e:
-            parts.append(f"eta={e['eta']}")
-        if "eps" in e:
-            parts.append(f"eps={e['eps']}")
+        parts = [f"{name}={e[name]}" for name in CONSTRUCTIONS[e["kind"]].params]
         print(f"{v:<5} {e['kind']:<12} {', '.join(parts) or '-':<16} {e['condition']}")
     if gaps:
         print(f"not realized between endpoints: {', '.join(map(str, gaps))}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .gf import FieldSpec, extension_field
+from .gf import FieldSpec, _too_large, extension_field
 from .linalg import (
     BadDims,
     Echelon,
@@ -41,7 +41,7 @@ from .linalg import (
     rref,
 )
 from .scid import SubspaceFamily, _pairwise_intersections
-from .search import _check_cap
+from .search import _check_cap, gaussian_binomial
 
 
 class PreconditionViolated(ValueError):
@@ -82,10 +82,11 @@ class Construction:
     """One construction kind.
 
     `params` names the parameters beyond (n, k, t) that `build` and
-    `closed_form` take as keywords; `settings(n, k, t, q)` lists the keyword
-    sets the spectrum tries, each of which `build` accepts.  The lambdas
-    below look the builders up by module-level name at call time, so a tool
-    that replaces those attributes (``bench/tracing.py``) sees every call.
+    `closed_form` take as keywords, and :func:`_kind_params` resolves them;
+    `settings(n, k, t, q)` lists the keyword sets the spectrum tries, each of
+    which `build` accepts.  The lambdas below look the builders up by
+    module-level name at call time, so a tool that replaces those attributes
+    (``bench/tracing.py``) sees every call.
     """
 
     params: tuple[str, ...]
@@ -130,10 +131,11 @@ CONSTRUCTIONS: dict[str, Construction] = {
         params=("eta", "eps"),
         build=lambda n, k, t, field, eta, eps: construct_sunflower(n, k, t, field, eta, eps),
         closed_form=lambda n, k, t, eta, eps: 2 * k + (n - 2) * t - eta * t + eps,
-        settings=lambda n, k, t, q: [
+        # F_(q^t) must be a field the field layer builds
+        settings=lambda n, k, t, q: [] if _too_large(q, t) else [
             {"eta": eta, "eps": eps}
             for eta in range(1, n - 1)
-            if n <= _sunflower_lines(q, t, n - eta)
+            if n <= gaussian_binomial(n - eta, 1, q**t)
             for eps in range(t)
         ],
         condition="n <= (q^(t(n-eta))-1)/(q^t-1)",
@@ -141,27 +143,35 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 
+def _kind_params(kind: str, given: dict, flag: str = "") -> dict:
+    """The keywords the builder of `kind` takes, from `given` (None for absent).
+
+    eps defaults to 0; every other parameter of the kind is required.
+    Raises ValueError for an unknown kind, and PreconditionViolated naming
+    flag + name for a given parameter the kind does not take or a missing one.
+    """
+    entry = CONSTRUCTIONS.get(kind)
+    if entry is None:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    for name, value in given.items():
+        if value is not None and name not in entry.params:
+            raise PreconditionViolated(f"{kind} takes no {flag}{name}")
+    for name in entry.params:
+        if name != "eps" and given.get(name) is None:
+            raise PreconditionViolated(f"{kind} requires {flag}{name}")
+    return {name: given.get(name) or 0 for name in entry.params}
+
+
 def expected_sum(
     kind: str, n: int, k: int, t: int, eps: int | None = None, eta: int | None = None
 ) -> int:
     """Closed-form dim S + dim I each construction is built to achieve.
 
-    eps defaults to 0 for the kinds that take it; passing eps or eta to a
-    kind that does not take it raises ValueError, as the CLI's exit 2 does.
+    The parameters resolve as for ``scidkit construct`` (:func:`_kind_params`),
+    so a bad one raises a ValueError where the CLI exits 2.
     """
-    if kind not in CONSTRUCTIONS:
-        raise ValueError(f"unknown construction kind {kind!r}")
-    entry = CONSTRUCTIONS[kind]
-    given = {"eta": eta, "eps": eps}
-    extra = [name for name in given if given[name] is not None and name not in entry.params]
-    if extra:
-        raise ValueError(f"{kind} takes no {', '.join(extra)}")
-    if given["eps"] is None:
-        given["eps"] = 0
-    missing = [name for name in entry.params if given[name] is None]
-    if missing:
-        raise ValueError(f"{kind} needs {', '.join(missing)}")
-    return entry.closed_form(n, k, t, **{name: given[name] for name in entry.params})
+    params = _kind_params(kind, {"eta": eta, "eps": eps})
+    return CONSTRUCTIONS[kind].closed_form(n, k, t, **params)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -185,11 +195,6 @@ def _check_glued(n: int, k: int, t: int) -> None:
         _glued_fits(n, k, t),
         f"(n-1)(k-t) <= k fails: ({n}-1)*({k}-{t}) = {(n - 1) * (k - t)} > {k}",
     )
-
-
-def _sunflower_lines(q: int, t: int, m: int) -> int:
-    """(q^(tm) - 1)/(q^t - 1), the number of lines of F_(q^t)^m."""
-    return (q ** (t * m) - 1) // (q**t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +473,7 @@ def desarguesian_spread(m: int, field: FieldSpec, t: int) -> SubspaceFamily:
     if t < 1:
         raise BadDims(f"t must be >= 1, got {t}")
     ext = extension_field(field, t)
-    _check_cap(_sunflower_lines(field.order, t, m))
+    _check_cap(gaussian_binomial(m, 1, field.order**t))
     lines = projective_points(full_subspace(ext, m))
     members = tuple(field_reduce(Subspace(ext, m, (p,))) for p in lines)
     return SubspaceFamily(field, m * t, members)
@@ -528,7 +533,7 @@ def construct_sunflower(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     _require(0 <= eps < t, f"0 <= eps < t fails: eps={eps}, t={t}")
     mprime = n - eta
     q = field.order
-    line_count = _sunflower_lines(q, t, mprime)
+    line_count = gaussian_binomial(mprime, 1, q**t)
     _require(
         n <= line_count,
         "cardinality bound n <= (q^(t(n-eta))-1)/(q^t-1) fails: "

@@ -417,7 +417,7 @@ class FieldSpec:
         for mod in data["tower"]:
             modulus = tuple(map(_json_int, mod))
             e = len(modulus) - 1
-            canonical = (canonical and e >= 1 and not _too_large(f, e)
+            canonical = (canonical and e >= 1 and not _too_large(f.order, e)
                          and modulus == _smallest_irreducible(f, e))
             if canonical:
                 f = extension_field(f, e)
@@ -433,10 +433,10 @@ def _json_int(x) -> int:
     return x
 
 
-def _too_large(base: FieldSpec, e: int) -> bool:
-    """Whether base^e exceeds MAX_EXTENSION_ORDER."""
-    # order >= 2^e, so the bit-length test spares computing a huge power
-    return e >= MAX_EXTENSION_ORDER.bit_length() or base.order**e > MAX_EXTENSION_ORDER
+def _too_large(q: int, e: int) -> bool:
+    """Whether q^e exceeds MAX_EXTENSION_ORDER, for a field order q."""
+    # q^e >= 2^e, so the bit-length test spares computing a huge power
+    return e >= MAX_EXTENSION_ORDER.bit_length() or q**e > MAX_EXTENSION_ORDER
 
 
 def field_new(
@@ -469,7 +469,7 @@ def field_new(
             raise FieldMismatch(
                 f"characteristic {p} does not match base characteristic {base.characteristic}"
             )
-    if _too_large(base, e):
+    if _too_large(base.order, e):
         raise FieldError(
             f"extension of order {base.order}^{e} is too large (limit {MAX_EXTENSION_ORDER})"
         )

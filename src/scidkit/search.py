@@ -256,7 +256,7 @@ class _Tree:
         self._adj: dict[int, int] = {}
         self._owners: dict[tuple[int, ...], list[int]] | None = None
         self._points: dict[int, dict[tuple[int, ...], None]] = {}
-        self._theta = (field.order ** (k - t) - 1) // (field.order - 1)  # theta(k - t)
+        self._theta = gaussian_binomial(k - t, 1, field.order)  # theta(k - t), 0 at t = k
         self.members = (
             coordinate_subspace(field, with_0[0].ambient_dim, range(k)),
             with_0[0],

@@ -1,5 +1,6 @@
 """CLI: certificates, verification diffs, exit codes, output formats."""
 
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from importlib.metadata import EntryPoint
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ import scidkit
 from scidkit import cli, construct, linalg, scid, search
 from scidkit.cli import canonical_dumps, main
 from scidkit.construct import CONSTRUCTIONS
-from scidkit.gf import field_from_order
+from scidkit.gf import FieldError, field_from_order
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -469,6 +471,41 @@ def test_spectrum_self_check_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "spectrum1 eta=None eps=1 sum=5 closed form=6" in err
+
+
+# sha256 of the text stdout of the spectrum runs below, recorded before the
+# rows were printed from each kind's params
+SPECTRUM_TEXT_DIGEST = "c7709acdf3f05082d21c103f090f8819b73c6601232b9e0da27f403cf6cb0b3c"
+
+
+def run_spectrum(capsys, n, k, t, q):
+    return run_cli(capsys, "spectrum", "--n", str(n), "--k", str(k), "--t", str(t), "--q", str(q))
+
+
+def test_spectrum_text_keeps_its_bytes(capsys):
+    digest = hashlib.sha256()
+    for q, n, k in product((2, 3), range(2, 6), range(1, 5)):
+        for t in range(1, k + 1):
+            code, out, err = run_spectrum(capsys, n, k, t, q)
+            assert (code, err) == (0, ""), (n, k, t, q)
+            digest.update(out.encode())
+    assert digest.hexdigest() == SPECTRUM_TEXT_DIGEST
+
+
+def test_spectrum_leaves_out_sunflowers_over_too_large_fields(capsys):
+    # F_(q^t) above gf.MAX_EXTENSION_ORDER = 1024 is refused by the field
+    # layer, so the spectrum must not try those sunflowers
+    for n, k, t, q in ((3, 5, 5, 8), (3, 6, 6, 4), (3, 11, 11, 2)):
+        code, out, err = run_spectrum(capsys, n, k, t, q)
+        assert (code, err) == (0, "")
+        assert [row.split()[1] for row in out.splitlines()[2:]] == ["max"]
+    sunflower = CONSTRUCTIONS["sunflower"]
+    for q, t in ((8, 4), (2, 11)):
+        assert sunflower.settings(3, t, t, q) == []
+        with pytest.raises(FieldError, match="too large"):
+            sunflower.build(3, t, t, field_from_order(q), eta=1, eps=0)
+    # at order exactly 1024 they stay; only the settings are listed here
+    assert sunflower.settings(3, 10, 10, 2) and sunflower.settings(3, 5, 5, 4)
 
 
 def test_search_cli_exhaustive(capsys):
