@@ -112,7 +112,10 @@ def _cmd_verify(args) -> int:
             return _verify_certificate(data)
         if isinstance(data, dict) and "field" in data and "members" in data:
             return _verify_bare_family(data)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except KeyError as exc:
+        print(canonical_dumps({"error": f"malformed input: missing key {exc}"}), file=sys.stderr)
+        return 2
+    except (TypeError, ValueError, RecursionError) as exc:
         print(canonical_dumps({"error": f"malformed input: {exc}"}), file=sys.stderr)
         return 2
     print(canonical_dumps({"error": "neither a certificate nor a family"}), file=sys.stderr)

@@ -9,9 +9,10 @@ Four builders, each returning (family, trace):
   with fresh directions, landing on n*k - eps for 0 <= eps <= k - t.
 * :func:`construct_spectrum2` additionally glues eta of the members through
   one common block, landing on n*k - (eta-2)(k-t) - eps.
-* :func:`construct_sunflower` lifts a spanning partial t-spread, itself
-  obtained by expanding lines over a degree-t extension field, to a
-  sunflower summing to 2k + (n-2)t - eta*t + eps.
+* :func:`construct_sunflower` lifts a spanning partial t-spread, the lines
+  of F_(q^t)^m rewritten over F_q, to a sunflower summing to
+  2k + (n-2)t - eta*t + eps.  The rewrite computes over F_q alone: it needs
+  only the modulus of F_(q^t), so F_(q^t) itself is never built.
 
 Every member of the first three builders is a union of named, disjoint
 blocks of standard coordinates, so the intersection pattern is exact
@@ -22,10 +23,10 @@ independently.  Traces expose every block by name for re-verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from typing import Callable
 
-from .gf import FieldSpec, _too_large, extension_field
+from .gf import FieldSpec, _check_order, _digits, _smallest_irreducible, _too_large
 from .linalg import (
     BadDims,
     Echelon,
@@ -33,11 +34,9 @@ from .linalg import (
     complement_within,
     coordinate_subspace,
     embed_subspace,
-    full_subspace,
     is_subspace_of,
     meet_dim,
     meeting_pairs,
-    projective_points,
     rref,
 )
 from .scid import SubspaceFamily, _pairwise_intersections
@@ -46,10 +45,6 @@ from .search import _check_cap, gaussian_binomial
 
 class PreconditionViolated(ValueError):
     """A construction's parameter precondition fails; the message names it."""
-
-
-class NoBaseField(ValueError):
-    """Field reduction needs a subspace over an extension field."""
 
 
 class NotASpread(ValueError):
@@ -131,7 +126,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
         params=("eta", "eps"),
         build=lambda n, k, t, field, eta, eps: construct_sunflower(n, k, t, field, eta, eps),
         closed_form=lambda n, k, t, eta, eps: 2 * k + (n - 2) * t - eta * t + eps,
-        # F_(q^t) must be a field the field layer builds
+        # the modulus of F_(q^t) is searched for only up to the field layer's limit
         settings=lambda n, k, t, q: [] if _too_large(q, t) else [
             {"eta": eta, "eps": eps}
             for eta in range(1, n - 1)
@@ -435,31 +430,48 @@ def construct_spectrum2(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
 # ---------------------------------------------------------------------------
 
 
-def field_reduce(u: Subspace) -> Subspace:
-    """Rewrite a subspace over an extension field as one over its base.
+def _spread_modulus(field: FieldSpec, t: int) -> tuple[int, ...]:
+    """The modulus of F_(q^t) over F_q: the least monic irreducible of degree t.
 
-    A d-dimensional subspace of F_(q^t)^m becomes a (d*t)-dimensional
-    subspace of F_q^(m*t): coordinate j expands to coordinates [j*t, (j+1)*t)
-    through the little-endian coefficient vectors, and each basis row b is
-    replaced by the rows x^l * b for l < t.  Injective and intersection-
-    compatible, since it is a relabeling of the same point set.
+    Raises FieldError when q^t exceeds gf.MAX_EXTENSION_ORDER.
     """
-    ext = u.field
-    if ext.base is None:
-        raise NoBaseField(f"{ext!r} has no designated base field")
-    base = ext.base
-    tdeg = ext.degree
-    m = u.ambient_dim
-    rows = []
-    for brow in u.basis:
-        for l in range(tdeg):
-            beta = base.order**l
-            scaled = [ext.mul(beta, c) for c in brow]
-            flat: list[int] = []
-            for c in scaled:
-                flat.extend(ext._unpack(c))
-            rows.append(flat)
-    return rref(base, m * tdeg, rows)
+    _check_order(field.order, t)
+    return _smallest_irreducible(field, t)
+
+
+def _points(m: int, order: int):
+    """The points of F^m for a field F of this order, as code tuples.
+
+    They come in projective_points(full_subspace(F, m))'s order, read off
+    codes alone, so F_(q^t) need not be built.
+    """
+    for i in range(m):
+        for coeffs in product(range(order), repeat=m - 1 - i):
+            yield (0,) * i + (1,) + coeffs
+
+
+def _field_reduce(field: FieldSpec, modulus: tuple[int, ...], point) -> Subspace:
+    """The t-space of F_q^(m*t) that a point of F_(q^t)^m spans over F_q.
+
+    F_(q^t) is F_q[x] modulo the monic `modulus` of degree t, and an element
+    code c is its coefficient vector over F_q: the t little-endian base-q
+    digits of c.  Coordinate j of the point expands to coordinates
+    [j*t, (j+1)*t).  The F_(q^t)-multiples of the point form the F_q-span of
+    x^l * point for l < t, so those t rows, flattened, are a basis.
+    Multiplying by x shifts a vector up one place, and a coefficient c at
+    x^t becomes -c times the modulus' lower coefficients.  Injective and
+    intersection-compatible, since it relabels the same point set.
+    """
+    t = len(modulus) - 1
+    vecs = [_digits(c, field.order, t) for c in point]
+    rows = [[a for v in vecs for a in v]]
+    for _ in range(t - 1):
+        vecs = [
+            [field.sub(a, field.mul(v[-1], b)) for a, b in zip([0, *v[:-1]], modulus)]
+            for v in vecs
+        ]
+        rows.append([a for v in vecs for a in v])
+    return rref(field, len(point) * t, rows)
 
 
 def desarguesian_spread(m: int, field: FieldSpec, t: int) -> SubspaceFamily:
@@ -472,10 +484,9 @@ def desarguesian_spread(m: int, field: FieldSpec, t: int) -> SubspaceFamily:
         raise BadDims(f"m must be >= 1, got {m}")
     if t < 1:
         raise BadDims(f"t must be >= 1, got {t}")
-    ext = extension_field(field, t)
+    modulus = _spread_modulus(field, t)
     _check_cap(gaussian_binomial(m, 1, field.order**t))
-    lines = projective_points(full_subspace(ext, m))
-    members = tuple(field_reduce(Subspace(ext, m, (p,))) for p in lines)
+    members = tuple(_field_reduce(field, modulus, p) for p in _points(m, field.order**t))
     return SubspaceFamily(field, m * t, members)
 
 
@@ -541,14 +552,11 @@ def construct_sunflower(n: int, k: int, t: int, field: FieldSpec, eta: int, eps:
     )
     params = {"n": n, "k": k, "t": t, "q": q, "eta": eta, "eps": eps}
 
-    ext = extension_field(field, t)
+    modulus = _spread_modulus(field, t)
     # a normalized point is a standard basis vector exactly when it has one nonzero entry
-    points = projective_points(full_subspace(ext, mprime))
-    extras = islice((p for p in points if p.count(0) < mprime - 1), eta)
-    lines = [Subspace(ext, mprime, (p,)) for p in extras]
-    lines += [coordinate_subspace(ext, mprime, [i]) for i in range(mprime)]
-
-    sigmas = [field_reduce(line) for line in lines]
+    extras = islice((p for p in _points(mprime, q**t) if p.count(0) < mprime - 1), eta)
+    units = [tuple(int(i == j) for j in range(mprime)) for i in range(mprime)]
+    sigmas = [_field_reduce(field, modulus, p) for p in (*extras, *units)]
     ambient = mprime * t
     comp: dict[str, Subspace] = {}
     if eps:

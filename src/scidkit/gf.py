@@ -1,11 +1,12 @@
-"""Exact arithmetic in small finite fields, including extension towers.
+"""Exact arithmetic in small finite fields: prime fields and their extensions.
 
 A field is described by a :class:`FieldSpec`: either a prime field F_p or a
-degree-e extension of a smaller FieldSpec, reduced modulo a monic irreducible
-polynomial with coefficients in that base field.  Elements are integer codes
-in [0, q): the little-endian positional encoding of the coefficient vector
-over the base, code = c_0 + c_1*b + ... + c_{e-1}*b^(e-1) where b is the base
-order.  Code 0 is the additive identity and code 1 the multiplicative one.
+degree-e extension of F_p, reduced modulo a monic irreducible polynomial with
+coefficients in F_p.  Elements are integer codes in [0, q): the
+little-endian positional encoding of the coefficient vector over F_p,
+code = c_0 + c_1*p + ... + c_{e-1}*p^(e-1).  Code 0 is the additive identity
+and code 1 the multiplicative one.  There are no towers: an extension's base
+is always its prime field.
 
 Extension arithmetic is table driven: one addition, one negation, one q x q
 multiplication and one inverse table, built together on first use from
@@ -18,7 +19,7 @@ base).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class FieldError(ValueError):
@@ -41,10 +42,6 @@ class FieldMismatch(FieldError):
     """Operands belong to different fields."""
 
 
-class NotASubfieldInTower(FieldError):
-    """Requested base field does not occur below this field in its tower."""
-
-
 class ZeroInverse(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
@@ -58,14 +55,15 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 MAX_EXTENSION_ORDER = 2**10
-"""The largest order :func:`field_new` builds an extension field of.
+"""The largest order :func:`field_new` builds an extension of F_p of.
 
 Extension arithmetic uses q x q addition and multiplication tables, built
 on first use: at q = 1024 the two hold 2,097,152 entries.  The irreducibility
 test of a given modulus tries every monic factor of up to half its degree,
-so without the limit a degree-2 tower over a prime near 10^18 would try
-10^18 linear factors.  Prime fields do modular arithmetic, need no tables
-and take no limit.
+so without the limit a degree-2 extension of a prime near 10^18 would try
+10^18 linear factors.  The spread builders of :mod:`scidkit.construct` build
+no F_(q^t), but search for its modulus over F_q, and take the same limit.
+Prime fields do modular arithmetic, need no tables and take no limit.
 """
 
 
@@ -163,9 +161,11 @@ def _smallest_irreducible(base: "FieldSpec", degree: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """A finite field F_q with q = b^e over its base field of order b.
+    """A finite field F_q with q = p^e.
 
-    `base is None` marks the prime field F_p (degree 1, modulus x).  Use
+    `base` is the prime field F_p for an extension and None for F_p itself
+    (degree 1, modulus x).  A degree-1 extension is a field of order p too,
+    kept apart from F_p because it computes from tables.  Use
     :func:`field_new` rather than calling this constructor directly; the
     constructor trusts its arguments.
     """
@@ -186,16 +186,16 @@ class FieldSpec:
     def __init__(
         self,
         characteristic: int,
-        degree: int,
-        modulus: tuple[int, ...],
-        base: "FieldSpec | None" = None,
+        degree: int = 1,
+        modulus: tuple[int, ...] = (0, 1),
+        extension: bool = False,
     ):
         self.characteristic = characteristic
         self.degree = degree
         self.modulus = tuple(modulus)
-        self.base = base
-        self.order = (base.order if base is not None else characteristic) ** degree
-        self._hash = hash((characteristic, degree, self.modulus, base))
+        self.base = FieldSpec(characteristic) if extension else None
+        self.order = characteristic**degree
+        self._hash = hash((characteristic, degree, self.modulus, self.base))
         self._add_t = None
         self._neg_t = None
         self._mul_t = None
@@ -224,7 +224,7 @@ class FieldSpec:
         return f"GF({self.order}|{self.base!r})"
 
     def __getstate__(self):
-        return (self.characteristic, self.degree, self.modulus, self.base)
+        return (self.characteristic, self.degree, self.modulus, self.base is not None)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -235,40 +235,14 @@ class FieldSpec:
         return range(self.order)
 
     def _unpack(self, code: int) -> list[int]:
-        """Coefficient vector over the immediate base, little-endian."""
-        b = self.base.order if self.base is not None else self.characteristic
-        return _digits(code, b, self.degree)
+        """Coefficient vector over F_p, little-endian."""
+        return _digits(code, self.characteristic, self.degree)
 
     def _pack(self, coeffs: Sequence[int]) -> int:
-        b = self.base.order if self.base is not None else self.characteristic
         code = 0
         for c in reversed(coeffs):
-            code = code * b + c
+            code = code * self.characteristic + c
         return code
-
-    def decompose(self, code: int, base: "FieldSpec") -> tuple[int, ...]:
-        """Coordinates of an element over `base`, flattened through the tower.
-
-        The result has length [F:base] and is linear in the element: addition
-        and base-scalar multiplication act coordinate-wise.  Raises
-        NotASubfieldInTower when `base` is not on this field's tower path.
-        """
-        if self == base:
-            return (code,)
-        if self.base is None:
-            raise NotASubfieldInTower(f"{base!r} is not a subfield of {self!r} in this tower")
-        out: list[int] = []
-        for digit in self._unpack(code):
-            out.extend(self.base.decompose(digit, base))
-        return tuple(out)
-
-    def tower_degree_over(self, base: "FieldSpec") -> int:
-        """[F:base] through the tower; errors when base is not below F."""
-        if self == base:
-            return 1
-        if self.base is None:
-            raise NotASubfieldInTower(f"{base!r} is not a subfield of {self!r} in this tower")
-        return self.degree * self.base.tower_degree_over(base)
 
     # -- arithmetic on codes -------------------------------------------------
 
@@ -395,34 +369,29 @@ class FieldSpec:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON form: characteristic plus the modulus of each extension level."""
-        levels: list[list[int]] = []
-        f: FieldSpec | None = self
-        while f is not None and f.base is not None:
-            levels.append(list(f.modulus))
-            f = f.base
-        return {"p": self.characteristic, "tower": list(reversed(levels))}
+        """JSON form: characteristic plus the extension's modulus, if any."""
+        tower = [] if self.base is None else [list(self.modulus)]
+        return {"p": self.characteristic, "tower": tower}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSpec":
-        """The field of a to_dict() form.
+        """The field of a to_dict() form: F_p, or one extension level over it.
 
-        While every level so far has the smallest irreducible modulus, a
-        level with that modulus again is the cached extension_field, tables
-        included.  Any other modulus is validated and built afresh, so input
-        adds nothing to a cache but the canonical fields.
+        A level with the smallest irreducible modulus is the cached
+        extension_field, tables included.  Any other modulus is validated
+        and built afresh, so input adds nothing to a cache but the canonical
+        fields.  A second level is refused with a FieldError.
         """
         f = field_new(_json_int(data["p"]))
-        canonical = True
-        for mod in data["tower"]:
+        for level, mod in enumerate(data["tower"]):
+            if level:
+                raise FieldError("a field has at most one extension level")
             modulus = tuple(map(_json_int, mod))
             e = len(modulus) - 1
-            canonical = (canonical and e >= 1 and not _too_large(f.order, e)
-                         and modulus == _smallest_irreducible(f, e))
-            if canonical:
+            if e >= 1 and not _too_large(f.order, e) and modulus == _smallest_irreducible(f, e):
                 f = extension_field(f, e)
             else:
-                f = field_new(f.characteristic, e, modulus=modulus, base=f)
+                f = _extension(f.characteristic, e, modulus)
         return f
 
 
@@ -439,13 +408,14 @@ def _too_large(q: int, e: int) -> bool:
     return e >= MAX_EXTENSION_ORDER.bit_length() or q**e > MAX_EXTENSION_ORDER
 
 
-def field_new(
-    p: int,
-    e: int = 1,
-    modulus: tuple[int, ...] | None = None,
-    base: FieldSpec | None = None,
-) -> FieldSpec:
-    """Build a field F_(b^e) over `base` (the prime field F_p when absent).
+def _check_order(q: int, e: int) -> None:
+    """Raise FieldError when an extension of order q^e exceeds MAX_EXTENSION_ORDER."""
+    if _too_large(q, e):
+        raise FieldError(f"extension of order {q}^{e} is too large (limit {MAX_EXTENSION_ORDER})")
+
+
+def field_new(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> FieldSpec:
+    """Build the field F_(p^e) over the prime field F_p.
 
     Without an explicit modulus the lexicographically smallest monic
     irreducible polynomial of degree e is selected, so repeated calls agree.
@@ -455,41 +425,40 @@ def field_new(
     """
     if e < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {e}")
-    if base is None:
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        prime = FieldSpec(p, 1, (0, 1), None)
-        if e == 1:
-            if modulus is not None and tuple(modulus) != (0, 1):
-                raise DegreeMismatch("the prime field is built modulo x")
-            return prime
-        base = prime
-    else:
-        if p != base.characteristic:
-            raise FieldMismatch(
-                f"characteristic {p} does not match base characteristic {base.characteristic}"
-            )
-    if _too_large(base.order, e):
-        raise FieldError(
-            f"extension of order {base.order}^{e} is too large (limit {MAX_EXTENSION_ORDER})"
-        )
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if e > 1:
+        return _extension(p, e, modulus)
+    if modulus is not None and tuple(modulus) != (0, 1):
+        raise DegreeMismatch("the prime field is built modulo x")
+    return FieldSpec(p)
+
+
+def _extension(p: int, e: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
+    """The degree-e extension of F_p for a prime p, degree 1 included; see field_new."""
+    if e < 1:
+        raise DegreeMismatch(f"extension degree must be >= 1, got {e}")
+    _check_order(p, e)
+    prime = FieldSpec(p)
     if modulus is None:
-        modulus = _smallest_irreducible(base, e)
+        modulus = _smallest_irreducible(prime, e)
     else:
         modulus = tuple(modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise DegreeMismatch(f"modulus must be monic of degree {e}")
-        if not all(0 <= c < base.order for c in modulus):
+        if not all(0 <= c < p for c in modulus):
             raise FieldError("modulus coefficients out of base-field range")
-        if not _poly_is_irreducible(base, modulus):
-            raise ReducibleModulus(f"{list(modulus)} factors over {base!r}")
-    return FieldSpec(base.characteristic, e, modulus, base)
+        if not _poly_is_irreducible(prime, modulus):
+            raise ReducibleModulus(f"{list(modulus)} factors over {prime!r}")
+    return FieldSpec(p, e, modulus, extension=True)
 
 
 @lru_cache(maxsize=None)
 def extension_field(base: FieldSpec, degree: int) -> FieldSpec:
-    """Degree-`degree` extension of `base` with the canonical smallest modulus."""
-    return field_new(base.characteristic, degree, base=base)
+    """Degree-`degree` extension of the prime field `base`, canonical modulus."""
+    if base.base is not None:
+        raise FieldError(f"{base!r} is not a prime field; extensions are built over F_p")
+    return _extension(base.characteristic, degree)
 
 
 @lru_cache(maxsize=None)

@@ -246,6 +246,20 @@ def test_missing_keys_exit_2(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
+def test_a_missing_key_is_named(capsys, tmp_path):
+    _, out, _ = run_cli(capsys, "construct", "max", "--n", "3", "--k", "2", "--t", "1", "--q", "2")
+    cert = json.loads(out)
+    del cert["params"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run_cli(capsys, "verify", str(path)) == (
+        2, "", '{"error":"malformed input: missing key \'params\'"}\n')
+    del cert["family"]["field"]["tower"]
+    path.write_text(json.dumps(cert))
+    assert run_cli(capsys, "verify", str(path))[2] == (
+        '{"error":"malformed input: missing key \'tower\'"}\n')
+
+
 def test_verify_bare_family(capsys, tmp_path):
     fam = {
         "field": {"p": 2, "tower": []},

@@ -9,7 +9,6 @@ import pytest
 from scidkit.bounds import ScidParams, best_bound
 from scidkit.construct import (
     CONSTRUCTIONS,
-    NoBaseField,
     NotASpread,
     PreconditionViolated,
     check_max_conditions,
@@ -20,10 +19,10 @@ from scidkit.construct import (
     derive_max_components,
     desarguesian_spread,
     expected_sum,
-    field_reduce,
     lift_spread_to_sunflower,
 )
-from scidkit.gf import extension_field, field_from_order
+from scidkit.construct import _field_reduce, _points, _spread_modulus
+from scidkit.gf import FieldSpec, field_from_order
 from scidkit.linalg import (
     BadDims,
     coordinate_subspace,
@@ -35,7 +34,6 @@ from scidkit.linalg import (
 )
 from scidkit.scid import SubspaceFamily, analyze, verify_scid
 
-from reference_enum import iter_subspaces
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -204,16 +202,21 @@ def test_spectrum2_preconditions():
 
 
 def test_field_reduce_golden():
-    f4 = extension_field(F2, 2)
-    red = field_reduce(coordinate_subspace(f4, 2, [0]))
+    # F_4 = F_2[x]/(x^2 + x + 1), its element x coded 2
+    modulus = _spread_modulus(F2, 2)
+    assert modulus == (1, 1, 1)
+    red = _field_reduce(F2, modulus, (1, 0))
     assert red.field == F2 and red.ambient_dim == 4
     assert red.basis == ((1, 0, 0, 0), (0, 1, 0, 0))
     # the diagonal line <(1,1)> picks up the multiplication structure:
     # x*(1,1) = (x,x) contributes the row pattern of x in both blocks
-    from scidkit.linalg import rref
-
-    diag = field_reduce(rref(f4, 2, [(1, 1)]))
+    diag = _field_reduce(F2, modulus, (1, 1))
     assert diag.basis == ((1, 0, 1, 0), (0, 1, 0, 1))
+    # x*(1, x) = (x, x + 1): the x-step reduces x^2 modulo the modulus
+    assert _field_reduce(F2, modulus, (1, 2)).basis == ((1, 0, 0, 1), (0, 1, 1, 1))
+    # over F_8 = F_2[x]/(x^3 + x + 1) the rows x*p and x^2*p both reduce
+    f8_line = _field_reduce(F2, _spread_modulus(F2, 3), (1, 6))
+    assert f8_line.basis == ((1, 0, 0, 0, 1, 1), (0, 1, 0, 1, 1, 1), (0, 0, 1, 1, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -221,23 +224,28 @@ def test_field_reduce_golden():
 )
 def test_field_reduce_exhaustive_lines(m, tdeg, q):
     base = field_from_order(q)
-    ext = extension_field(base, tdeg)
-    lines = list(iter_subspaces(m, 1, ext))
-    # the spread and sunflower builders list lines this way; digests pin the order
-    assert [(p,) for p in projective_points(full_subspace(ext, m))] == [l.basis for l in lines]
-    reduced = [field_reduce(l) for l in lines]
-    assert len({r.basis for r in reduced}) == len(lines)  # injective
+    points = list(_points(m, q**tdeg))
+    # the spread and sunflower builders list lines in projective_points' order,
+    # which depends on the order alone; digests pin it
+    assert points == list(projective_points(full_subspace(field_from_order(q**tdeg), m)))
+    reduced = [_field_reduce(base, _spread_modulus(base, tdeg), p) for p in points]
+    assert len({r.basis for r in reduced}) == len(points)  # injective
     for r in reduced:
         assert r.dim == tdeg and r.ambient_dim == m * tdeg
     # trivially intersecting lines stay trivially intersecting
-    for (a, ra), (b, rb) in combinations(zip(lines, reduced), 2):
+    for ra, rb in combinations(reduced, 2):
         assert intersect(ra, rb).dim == 0
         assert span_sum(ra, rb).dim == 2 * tdeg
 
 
-def test_field_reduce_needs_extension():
-    with pytest.raises(NoBaseField):
-        field_reduce(coordinate_subspace(F2, 3, [0]))
+def test_spreads_build_no_table_above_their_field(monkeypatch):
+    orders = []
+    build = FieldSpec._build_tables
+    monkeypatch.setattr(FieldSpec, "_build_tables", lambda f: orders.append(f.order) or build(f))
+    fam, _ = construct_sunflower(3, 3, 3, field_from_order(9), eta=1)
+    assert analyze(fam).sum == expected_sum("sunflower", 3, 3, 3, 0, 1)
+    assert desarguesian_spread(2, field_from_order(8), 2).n == 65
+    assert all(q <= 9 for q in orders), orders
 
 
 @pytest.mark.parametrize("m,q,tdeg", [(2, 2, 2), (2, 3, 2), (1, 2, 3)])
@@ -420,3 +428,27 @@ def test_glued_constructions_keep_their_bytes():
                 digest.update(json.dumps([family.to_dict(), trace.to_dict()], sort_keys=True).encode())
                 builds += 1
     assert (builds, digest.hexdigest()) == (530, GLUED_DIGEST)
+
+
+# sha256 of the sunflowers and spreads below, recorded while F_(q^t) was
+# still built as a field to rewrite their lines over F_q
+SPREAD_DIGEST = "cc3b4b18e10fb8301da89470ace7db48cfdebdec9d630eb8586b5e1fd3213625"
+
+
+def test_sunflowers_and_spreads_keep_their_bytes():
+    digest = hashlib.sha256()
+    builds = 0
+    entry = CONSTRUCTIONS["sunflower"]
+    for q, n, k in product((2, 3, 4, 5, 7, 8, 9), range(3, 6), range(1, 4)):
+        field = field_from_order(q)
+        for t in range(1, k + 1):
+            for params in entry.settings(n, k, t, q):
+                family, trace = entry.build(n, k, t, field, **params)
+                digest.update(json.dumps([family.to_dict(), trace.to_dict()], sort_keys=True).encode())
+                builds += 1
+    for q, (m, t) in product((2, 3, 4, 5, 7, 8, 9), ((1, 2), (2, 2), (3, 1), (2, 3))):
+        if q ** (m * t) <= 4096:
+            spread = desarguesian_spread(m, field_from_order(q), t)
+            digest.update(json.dumps(spread.to_dict(), sort_keys=True).encode())
+            builds += 1
+    assert (builds, digest.hexdigest()) == (434, SPREAD_DIGEST)

@@ -1,4 +1,4 @@
-"""Field arithmetic: golden tables, axioms, towers, serialization."""
+"""Field arithmetic: golden tables, axioms, extensions, serialization."""
 
 import json
 import os
@@ -20,7 +20,6 @@ from scidkit.gf import (
     DegreeMismatch,
     FieldError,
     FieldSpec,
-    NotASubfieldInTower,
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
@@ -121,42 +120,6 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_tower_f16_over_f4():
-    f4 = field_from_order(4)
-    f16 = extension_field(f4, 2)
-    assert f16.order == 16 and f16.characteristic == 2 and f16.base == f4
-    els = list(f16.elements())
-    for a in els:
-        assert f16.pow(a, 16) == a
-        if a:
-            assert f16.mul(a, f16.inv(a)) == 1
-    rng = random.Random(16)
-    for _ in range(300):
-        a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
-        assert f16.mul(a, f16.add(b, c)) == f16.add(f16.mul(a, b), f16.mul(a, c))
-
-
-def test_decompose_is_linear():
-    f2 = field_from_order(2)
-    f4 = extension_field(f2, 2)
-    f16 = extension_field(f4, 2)
-    rng = random.Random(0)
-    for _ in range(100):
-        a, b = rng.randrange(16), rng.randrange(16)
-        da, db = f16.decompose(a, f2), f16.decompose(b, f2)
-        ds = f16.decompose(f16.add(a, b), f2)
-        assert ds == tuple(f2.add(x, y) for x, y in zip(da, db))
-    assert len(f16.decompose(0, f2)) == 4
-    assert f16.tower_degree_over(f2) == 4
-    assert f16.tower_degree_over(f4) == 2
-
-
-def test_decompose_rejects_foreign_base():
-    f16 = extension_field(field_from_order(4), 2)
-    with pytest.raises(NotASubfieldInTower):
-        f16.decompose(3, field_from_order(3))
-
-
 def test_negative_exponent():
     f7 = field_from_order(7)
     for a in range(1, 7):
@@ -168,12 +131,29 @@ def test_serialization_roundtrip():
     for q in (2, 9, 16):
         f = field_from_order(q)
         assert FieldSpec.from_dict(f.to_dict()) == f
-    f16 = extension_field(field_from_order(4), 2)
-    again = FieldSpec.from_dict(f16.to_dict())
-    assert again == f16
-    # arithmetic agrees after the roundtrip
-    for a in (3, 7, 12):
-        assert again.mul(a, a) == f16.mul(a, a)
+    # a degree-1 level is an extension of order p, not the prime field
+    for data in ({"p": 2, "tower": [[0, 1]]}, {"p": 2, "tower": [[1, 1]]}, {"p": 3, "tower": [[2, 1]]}):
+        f = FieldSpec.from_dict(data)
+        assert f.degree == 1 and f.base == field_new(data["p"]) != f
+        assert f.to_dict() == data
+    assert FieldSpec.from_dict({"p": 2, "tower": [[0, 1]]}) is extension_field(field_new(2), 1)
+
+
+def test_a_second_extension_level_is_refused(capsys, tmp_path):
+    with pytest.raises(FieldError, match="not a prime field"):
+        extension_field(field_from_order(4), 2)
+    with pytest.raises(FieldError, match="at most one extension level"):
+        FieldSpec.from_dict({"p": 2, "tower": [[1, 1, 1], [2, 1, 1]]})
+    family = {
+        "field": {"p": 2, "tower": [[1, 1, 1], [2, 1, 1]]},
+        "ambient": 2,
+        "members": [{"ambient": 2, "basis": [[1, 0]]}, {"ambient": 2, "basis": [[0, 1]]}],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at most one extension level" in err
 
 
 def test_verify_reuses_the_canonical_field(capsys, monkeypatch, tmp_path):
@@ -274,7 +254,7 @@ def test_huge_characteristic_is_decided_fast(tmp_path, capsys):
 
 
 def test_tower_over_a_huge_prime_is_refused_fast(tmp_path):
-    """verify exits 2 on a degree-2 tower over a prime near 10^18, in a guarded process."""
+    """verify exits 2 on a degree-2 extension of a prime near 10^18, in a guarded process."""
     family = {
         "field": {"p": 10**18 + 3, "tower": [[1, 0, 1]]},
         "ambient": 3,
@@ -300,8 +280,8 @@ def test_extension_order_limit():
     for make in (
         lambda: field_from_order(2 * MAX_EXTENSION_ORDER),
         lambda: field_new(2, 10**9),
-        lambda: field_new(2, 2, base=extension_field(field_from_order(2), 6)),
-        lambda: field_new(10**18 + 3, 2, modulus=(1, 0, 1), base=field_new(10**18 + 3)),
+        lambda: field_new(2, 12),
+        lambda: field_new(10**18 + 3, 2, modulus=(1, 0, 1)),
     ):
         with pytest.raises(FieldError, match="too large"):
             make()
@@ -321,26 +301,22 @@ def test_fused_row_operations_match_entrywise_arithmetic(q):
 
 
 def _schoolbook_add(f, a, b):
-    """a + b coefficient by coefficient down the tower, with no table."""
-    if f.base is None:
-        return (a + b) % f.characteristic
-    return f._pack([_schoolbook_add(f.base, x, y) for x, y in zip(f._unpack(a), f._unpack(b))])
+    """a + b coefficient by coefficient over F_p, with no table."""
+    p = f.characteristic
+    return f._pack([(x + y) % p for x, y in zip(f._unpack(a), f._unpack(b))])
 
 
 def _schoolbook_mul(f, a, b):
-    """The polynomial product of a and b over the base, reduced by the modulus."""
-    if f.base is None:
-        return a * b % f.characteristic
-    base, e = f.base, f.degree
-    minus_one = f.characteristic - 1  # the prime-field element -1 has this code at every level
+    """The polynomial product of a and b over F_p, reduced by the modulus."""
+    p, e = f.characteristic, f.degree
     prod = [0] * (2 * e - 1)
     for i, x in enumerate(f._unpack(a)):
         for j, y in enumerate(f._unpack(b)):
-            prod[i + j] = _schoolbook_add(base, prod[i + j], _schoolbook_mul(base, x, y))
+            prod[i + j] = (prod[i + j] + x * y) % p
     for top in range(2 * e - 2, e - 1, -1):
-        c = _schoolbook_mul(base, minus_one, prod[top])
+        c = prod[top]
         for j, m in enumerate(f.modulus):
-            prod[top - e + j] = _schoolbook_add(base, prod[top - e + j], _schoolbook_mul(base, c, m))
+            prod[top - e + j] = (prod[top - e + j] - c * m) % p
     assert prod[e:] == [0] * (e - 1)
     return f._pack(prod[:e])
 
@@ -349,7 +325,6 @@ def _schoolbook_mul(f, a, b):
     "field",
     [field_from_order(q) for q in (4, 8, 9, 25, 27)]
     + [
-        extension_field(field_from_order(4), 2),
         extension_field(field_from_order(2), 1),
         extension_field(field_from_order(3), 1),
     ],
